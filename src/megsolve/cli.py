@@ -324,35 +324,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception -> exit code, most specific first; the first match wins.
+# EdgeListParseError and SelfLoopError are ValueErrors, so they exit 2.
+EXIT_CODES = (
+    (NotConnectedError, EXIT_PRECONDITION),
+    (MethodMismatchError, EXIT_MISMATCH),
+    (LimitExceededError, EXIT_LIMIT),
+    (ValueError, EXIT_INPUT),
+    (GenerationError, EXIT_INPUT),
+    (FileNotFoundError, EXIT_INPUT),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EdgeListParseError as exc:
+    except tuple(exc_type for exc_type, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SelfLoopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotConnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except MethodMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for exc_type, code in EXIT_CODES
+                    if isinstance(exc, exc_type))
 
 
 if __name__ == "__main__":

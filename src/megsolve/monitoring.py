@@ -9,6 +9,7 @@ two vertices.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
@@ -126,6 +127,42 @@ def monitors_by_counting(G: Graph, dist: DistanceMatrix,
     if total >= cap or c1 >= cap or c2 >= cap:
         return None
     return c1 * c2 == total
+
+
+def geodesic_edge_masks(G: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per source s and target t, the edges on every shortest s-t path.
+
+    Bit i stands for ``G.edges()[i]``; ``masks[s][t]`` is 0 for t == s
+    and for t unreachable from s. One BFS per source: ``must[s] = 0`` and,
+    further out, ``must[w]`` is the AND over the BFS predecessors p of w
+    of ``must[p] | bit(p, w)``, since every shortest s-w path ends with
+    one predecessor edge. So ``masks[s][t] >> i & 1`` equals
+    ``monitors(G, s, t, G.edges()[i])``.
+    """
+    adj = G.adj
+    edge_bit: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for i, (u, v) in enumerate(G.edges()):
+        edge_bit[u][v] = edge_bit[v][u] = 1 << i
+    rows = []
+    for s in range(G.n):
+        dist = [-1] * G.n
+        must = [0] * G.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            p = queue.popleft()
+            d = dist[p] + 1
+            must_p = must[p]
+            bits = edge_bit[p]
+            for w in adj[p]:
+                if dist[w] == -1:
+                    dist[w] = d
+                    must[w] = must_p | bits[w]
+                    queue.append(w)
+                elif dist[w] == d:
+                    must[w] &= must_p | bits[w]
+        rows.append(tuple(must))
+    return tuple(rows)
 
 
 def is_meg_set(G: Graph, members, dist: DistanceMatrix | None = None) -> MegSetCheck:

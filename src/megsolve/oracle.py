@@ -2,9 +2,10 @@
 
 The oracle enumerates candidate subsets by increasing cardinality and, inside
 each cardinality, in lexicographic order, so the first hit is a canonical
-witness. It rests on the same edge-deletion distance definition as
-``monitoring.monitors``; per-pair edge coverage is just precomputed once per
-graph so subset tests reduce to bitmask unions.
+witness. Per-pair edge coverage comes from
+``monitoring.geodesic_edge_masks``, which agrees with the edge-deletion
+definition of ``monitoring.monitors``; it is precomputed once per graph so
+subset tests reduce to bitmask unions.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import LimitExceededError
-from .graph_core import (Graph, all_pairs_distances, articulation_points,
-                         bfs_distances)
-from .monitoring import is_meg_set, mandatory_vertices, require_meg_input
+from .graph_core import Graph, articulation_points
+from .monitoring import (geodesic_edge_masks, is_meg_set, mandatory_vertices,
+                         require_meg_input)
 
 DEFAULT_VERTEX_LIMIT = 12
 
@@ -36,23 +37,16 @@ def _check_size(G: Graph, limit: int | None) -> int:
 
 
 def _pair_cover_masks(G: Graph) -> tuple[int, dict[tuple[int, int], int]]:
-    """For every vertex pair, the bitmask of edges it monitors.
+    """For every vertex pair that monitors some edge, the bitmask of those
+    edges (bit i is ``G.edges()[i]``).
 
-    Derived purely from edge-deletion BFS distances, one deletion per edge
-    and one BFS per source. Returns (full coverage mask, pair -> mask).
+    Read off ``geodesic_edge_masks``, which agrees with the edge-deletion
+    definition. Returns (full coverage mask, pair -> mask).
     """
-    dist = all_pairs_distances(G)
-    edges = G.edges()
-    cover: dict[tuple[int, int], int] = {}
-    for idx, edge in enumerate(edges):
-        bit = 1 << idx
-        for s in range(G.n):
-            row = bfs_distances(G, s, skip_edge=edge)
-            base = dist[s]
-            for t in range(s + 1, G.n):
-                if row[t] > base[t]:
-                    cover[(s, t)] = cover.get((s, t), 0) | bit
-    return (1 << len(edges)) - 1, cover
+    must = geodesic_edge_masks(G)
+    cover = {(s, t): must[s][t]
+             for s in range(G.n) for t in range(s + 1, G.n) if must[s][t]}
+    return (1 << G.m) - 1, cover
 
 
 def _covers_all(S: tuple[int, ...], full: int,

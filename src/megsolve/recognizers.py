@@ -55,38 +55,56 @@ def recognize_distance_hereditary(G: Graph) -> PruneSequence | None:
     induced subgraphs and every member on two or more vertices contains a
     pendant vertex or a twin pair (one-vertex-extension characterization,
     Hammer and Maffray 1990).
+
+    Each step removes the lowest-id pendant vertex if there is one, else
+    the first twin of an ascending scan. Pendants are degree-counted: the
+    alive degree of every vertex is decremented when a neighbor goes, so
+    the pendant set (alive degree exactly 1) is kept as a bitmask and the
+    pendant step reads its lowest bit instead of rescanning the graph.
     """
     masks = G.adj_masks
     alive = (1 << G.n) - 1
+    degree = [m.bit_count() for m in masks]
+    pendant = 0
+    for v, d in enumerate(degree):
+        if d == 1:
+            pendant |= 1 << v
     steps: list[PruneStep] = []
-    remaining = G.n
-    while remaining > 1:
-        step = None
-        for v in iter_bits(alive):
-            nb = masks[v] & alive
-            if nb and nb & (nb - 1) == 0:
-                step = PruneStep(v, "pendant", nb.bit_length() - 1)
-                break
-        if step is None:
-            open_seen: dict[int, int] = {}
-            closed_seen: dict[int, int] = {}
-            for v in iter_bits(alive):
-                nb = masks[v] & alive
-                cl = nb | (1 << v)
-                if cl in closed_seen:
-                    step = PruneStep(v, "true_twin", closed_seen[cl])
-                    break
-                if nb in open_seen:
-                    step = PruneStep(v, "false_twin", open_seen[nb])
-                    break
-                closed_seen[cl] = v
-                open_seen[nb] = v
-        if step is None:
-            return None
+    for _ in range(G.n - 1):
+        if pendant:
+            v = (pendant & -pendant).bit_length() - 1
+            step = PruneStep(v, "pendant", (masks[v] & alive).bit_length() - 1)
+        else:
+            step = _first_twin(masks, alive)
+            if step is None:
+                return None
         steps.append(step)
-        alive &= ~(1 << step.vertex)
-        remaining -= 1
+        v = step.vertex
+        alive &= ~(1 << v)
+        pendant &= ~(1 << v)
+        for u in iter_bits(masks[v] & alive):
+            degree[u] -= 1
+            if degree[u] == 1:
+                pendant |= 1 << u
+            elif degree[u] == 0:
+                pendant &= ~(1 << u)
     return PruneSequence(tuple(steps), alive.bit_length() - 1)
+
+
+def _first_twin(masks: tuple[int, ...], alive: int) -> PruneStep | None:
+    """First vertex of an ascending scan that twins an earlier one."""
+    open_seen: dict[int, int] = {}
+    closed_seen: dict[int, int] = {}
+    for v in iter_bits(alive):
+        nb = masks[v] & alive
+        cl = nb | (1 << v)
+        if cl in closed_seen:
+            return PruneStep(v, "true_twin", closed_seen[cl])
+        if nb in open_seen:
+            return PruneStep(v, "false_twin", open_seen[nb])
+        closed_seen[cl] = v
+        open_seen[nb] = v
+    return None
 
 
 def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
@@ -519,26 +537,46 @@ class SEO:
         }
 
 
-def _simple_chain(masks: tuple[int, ...], alive: int, v: int) -> tuple[int, ...] | None:
-    """Inclusion chain over N[v] in the alive-induced subgraph, or None.
+def _simple_chain(masks: tuple[int, ...], alive: int,
+                  v: int) -> tuple[tuple[int, ...] | None, int]:
+    """Inclusion chain over N[v] in the alive-induced subgraph, or a witness.
 
-    Total order by inclusion is checked by sorting on popcount: equal-size
-    distinct sets are incomparable and fail the consecutive subset test.
+    Total order by inclusion is checked by sorting on popcount (then id):
+    equal-size distinct sets are incomparable and fail the consecutive
+    subset test, and in a chain equal sizes mean equal sets, so the chain
+    comes out ordered by size and then id. Returns ``(chain, 0)`` when v
+    is simple. Otherwise returns ``(None, witness)``, a mask of four
+    vertices {x, y, a, b} (not necessarily distinct): x and y consecutive
+    in the sorted list, a in N[x] minus N[y] and b in N[y] minus N[x].
+    While all four stay alive, v stays non-simple. The witness comes from
+    the largest-neighborhood end with the highest-id a and b, because
+    elimination removes low ids first.
     """
+    closed = []
     members = (masks[v] | (1 << v)) & alive
-    closed = [((masks[u] | (1 << u)) & alive, u) for u in iter_bits(members)]
-    closed.sort(key=lambda t: (t[0].bit_count(), t[0], t[1]))
-    for (cm_a, _), (cm_b, _) in zip(closed, closed[1:]):
-        if cm_a & ~cm_b:
-            return None
-    return tuple(u for _, u in closed)
+    while members:
+        low = members & -members
+        u = low.bit_length() - 1
+        cm = (masks[u] | low) & alive
+        closed.append((cm.bit_count(), u, cm))
+        members ^= low
+    closed.sort()
+    for i in range(len(closed) - 1, 0, -1):
+        _, x, cm_x = closed[i - 1]
+        _, y, cm_y = closed[i]
+        only_x = cm_x & ~cm_y
+        if only_x:
+            a = only_x.bit_length() - 1
+            b = (cm_y & ~cm_x).bit_length() - 1
+            return None, (1 << x) | (1 << y) | (1 << a) | (1 << b)
+    return tuple(u for _, u, _ in closed), 0
 
 
 def is_simple(G: Graph, v: int) -> tuple[bool, tuple[int, ...] | None]:
     """Simple vertex test: closed neighborhoods of N[v] form a chain."""
     if not 0 <= v < G.n:
         raise ValueError("vertex id out of range")
-    chain = _simple_chain(G.adj_masks, (1 << G.n) - 1, v)
+    chain, _ = _simple_chain(G.adj_masks, (1 << G.n) - 1, v)
     return (chain is not None), chain
 
 
@@ -547,24 +585,43 @@ def recognize_strongly_chordal(G: Graph) -> SEO | None:
 
     Complete because the class is closed under induced subgraphs and every
     member has a simple vertex (Farber 1983), so any greedy choice leaves
-    the invariant intact.
+    the invariant intact: a simple vertex stays simple after deletions.
+
+    Each step eliminates the lowest-id simple vertex. A vertex that tests
+    non-simple keeps the four-vertex witness of ``_simple_chain`` and is
+    skipped by later scans until one of those four vertices is eliminated;
+    only then is it retested. The order and chains are those of testing
+    every alive vertex at every step.
     """
     masks = G.adj_masks
     alive = (1 << G.n) - 1
+    blocked = 0  # tested non-simple, witness intact
+    witness = [0] * G.n
+    # vertex -> vertices whose witness held it when they were tested
+    watchers: list[list[int]] = [[] for _ in range(G.n)]
     order: list[int] = []
     chains: list[tuple[int, ...]] = []
     while alive:
-        found = False
-        for v in iter_bits(alive):
-            chain = _simple_chain(masks, alive, v)
+        todo = alive & ~blocked
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            chain, wit = _simple_chain(masks, alive, v)
             if chain is not None:
-                order.append(v)
-                chains.append(chain)
-                alive &= ~(1 << v)
-                found = True
                 break
-        if not found:
+            witness[v] = wit
+            blocked |= 1 << v
+            for w in iter_bits(wit):
+                watchers[w].append(v)
+            todo &= todo - 1
+        else:
             return None
+        order.append(v)
+        chains.append(chain)
+        alive &= ~(1 << v)
+        for u in watchers[v]:
+            if witness[u] >> v & 1:
+                blocked &= ~(1 << u)
+        watchers[v] = []
     return SEO(tuple(order), tuple(chains))
 
 

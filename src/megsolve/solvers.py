@@ -203,20 +203,34 @@ def solve_by_cut_decomposition(
 
 
 def _decompose(G: Graph, piece_solver) -> tuple[int, ...]:
-    aps = articulation_points(G)
-    if not aps:
-        return vertex_set(piece_solver(G))
-    v = aps[0]
-    rest = [u for u in range(G.n) if u != v]
-    shards = connected_components(induced_subgraph(G, rest))
-    merged: set[int] = set()
-    for shard in shards:
-        members = sorted([rest[i] for i in shard] + [v])
-        piece = induced_subgraph(G, members)
-        sub = _decompose(piece, piece_solver)
-        merged.update(G.id_of(piece.labels[u]) for u in sub)
-    merged.discard(v)
-    return vertex_set(merged)
+    """Split pieces at their lowest cut vertex until none is left.
+
+    Pieces are kept on an explicit stack in depth-first order, so deep
+    block trees such as long paths need no recursion, and piece_solver
+    sees the pieces in the same order as a recursive walk. The answer is
+    every label some final piece's solution holds, minus every split
+    vertex. That equals merging piece solutions bottom-up and dropping
+    each split vertex at its own split: a split puts every vertex but the
+    split one into exactly one piece, so a final piece holding a split
+    vertex always lies below a split at that vertex.
+    """
+    found: set[str] = set()
+    split: set[str] = set()
+    stack = [G]
+    while stack:
+        H = stack.pop()
+        aps = articulation_points(H)
+        if not aps:
+            found.update(H.labels_of(piece_solver(H)))
+            continue
+        v = aps[0]
+        split.add(H.labels[v])
+        rest = [u for u in range(H.n) if u != v]
+        shards = connected_components(induced_subgraph(H, rest))
+        for shard in reversed(shards):
+            members = sorted([rest[i] for i in shard] + [v])
+            stack.append(induced_subgraph(H, members))
+    return vertex_set(G.id_of(label) for label in found - split)
 
 
 def solve(G: Graph, method: str = "auto",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from megsolve import Graph, build_graph
+from megsolve import SEO, Graph, PruneSequence, PruneStep, build_graph
 
 
 def path_graph(k: int) -> Graph:
@@ -277,3 +277,78 @@ def backtracking_simple_elimination(G: Graph) -> bool:
         return ok
 
     return rec(frozenset(range(G.n)))
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def rescan_distance_hereditary(G: Graph) -> PruneSequence | None:
+    """Reference pruning that rescans every alive vertex at every step:
+    the lowest-id pendant vertex, else the first twin of an ascending scan.
+    The package's recognizer must return the identical sequence."""
+    masks = G.adj_masks
+    alive = (1 << G.n) - 1
+    steps: list[PruneStep] = []
+    remaining = G.n
+    while remaining > 1:
+        step = None
+        for v in _bits(alive):
+            nb = masks[v] & alive
+            if nb and nb & (nb - 1) == 0:
+                step = PruneStep(v, "pendant", nb.bit_length() - 1)
+                break
+        if step is None:
+            open_seen: dict[int, int] = {}
+            closed_seen: dict[int, int] = {}
+            for v in _bits(alive):
+                nb = masks[v] & alive
+                cl = nb | (1 << v)
+                if cl in closed_seen:
+                    step = PruneStep(v, "true_twin", closed_seen[cl])
+                    break
+                if nb in open_seen:
+                    step = PruneStep(v, "false_twin", open_seen[nb])
+                    break
+                closed_seen[cl] = v
+                open_seen[nb] = v
+        if step is None:
+            return None
+        steps.append(step)
+        alive &= ~(1 << step.vertex)
+        remaining -= 1
+    return PruneSequence(tuple(steps), alive.bit_length() - 1)
+
+
+def _rescan_chain(masks, alive: int, v: int) -> tuple[int, ...] | None:
+    members = (masks[v] | (1 << v)) & alive
+    closed = [((masks[u] | (1 << u)) & alive, u) for u in _bits(members)]
+    closed.sort(key=lambda t: (t[0].bit_count(), t[0], t[1]))
+    for (cm_a, _), (cm_b, _) in zip(closed, closed[1:]):
+        if cm_a & ~cm_b:
+            return None
+    return tuple(u for _, u in closed)
+
+
+def rescan_strongly_chordal(G: Graph) -> SEO | None:
+    """Reference elimination that retests every alive vertex at every
+    step and removes the lowest-id simple one. The package's recognizer
+    must return the identical order and chains."""
+    masks = G.adj_masks
+    alive = (1 << G.n) - 1
+    order: list[int] = []
+    chains: list[tuple[int, ...]] = []
+    while alive:
+        for v in _bits(alive):
+            chain = _rescan_chain(masks, alive, v)
+            if chain is not None:
+                order.append(v)
+                chains.append(chain)
+                alive &= ~(1 << v)
+                break
+        else:
+            return None
+    return SEO(tuple(order), tuple(chains))

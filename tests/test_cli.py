@@ -1,8 +1,13 @@
 import json
+import sys
 
 import pytest
 
-from megsolve import GenSpec, generate, graph_from_edge_list
+from megsolve import (EdgeListParseError, GenSpec, GenerationError,
+                      LimitExceededError, MethodMismatchError,
+                      NotConnectedError, SelfLoopError, generate,
+                      graph_from_edge_list)
+from megsolve import cli
 from megsolve.cli import main
 
 
@@ -244,3 +249,45 @@ def test_unknown_method_rejected_by_argparse(tmp_path, capsys):
     path = write(tmp_path, "c4.edges", C4)
     with pytest.raises(SystemExit):
         main(["meg", path, "--method", "nope"])
+
+
+@pytest.mark.parametrize("exc, code", [
+    (EdgeListParseError(3, "bad line"), 2),
+    (SelfLoopError("a"), 2),
+    (GenerationError("retries exhausted"), 2),
+    (FileNotFoundError("no such file"), 2),
+    (ValueError("bad value"), 2),
+    (NotConnectedError("graph must be connected"), 3),
+    (MethodMismatchError("not recognized"), 4),
+    (LimitExceededError("scan", 9, 5), 5),
+])
+def test_exit_code_table(tmp_path, capsys, monkeypatch, exc, code):
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "read_graph_file", fail)
+    got, out, err = run(capsys, "meg", write(tmp_path, "c4.edges", C4))
+    assert got == code
+    assert out == "" and err == f"error: {exc}\n"
+
+
+def test_unmapped_exceptions_propagate(tmp_path, capsys, monkeypatch):
+    def fail(path):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "read_graph_file", fail)
+    with pytest.raises(RuntimeError):
+        main(["meg", write(tmp_path, "c4.edges", C4)])
+
+
+def test_decomposition_on_a_long_path(tmp_path, capsys):
+    text = "".join(f"v{i} v{i + 1}\n" for i in range(299))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, out, _ = run(capsys, "meg", "--method", "decomposition",
+                           write(tmp_path, "p300.edges", text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert json.loads(out)["result"]["witness"] == ["v0", "v299"]

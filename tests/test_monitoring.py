@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsolve import (NotConnectedError, SATURATION_CAP, bounds, build_graph,
-                      is_mandatory, is_meg_set, mandatory_vertices, monitors,
-                      monitors_by_counting, shortest_path_counts)
+                      geodesic_edge_masks, is_mandatory, is_meg_set,
+                      mandatory_vertices, monitors, monitors_by_counting,
+                      shortest_path_counts)
 from megsolve.graph_core import articulation_points
 
 from graphs_util import (all_connected_graphs, brute_is_meg, brute_mandatory,
@@ -55,6 +56,32 @@ def test_monitors_agrees_with_geodesic_enumeration():
         for edge in G.edges():
             for a, b in itertools.combinations(range(n), 2):
                 assert monitors(G, a, b, edge) == brute_monitors(G, a, b, edge)
+
+
+def assert_masks_match_monitors(G):
+    masks = geodesic_edge_masks(G)
+    for s in range(G.n):
+        assert masks[s][s] == 0
+        for t in range(G.n):
+            if t == s:
+                continue
+            expected = sum(1 << i for i, edge in enumerate(G.edges())
+                           if monitors(G, s, t, edge))
+            assert masks[s][t] == expected
+
+
+def test_geodesic_edge_masks_match_monitors_exhaustive():
+    for n in (2, 3, 4, 5):
+        for G in all_connected_graphs(n):
+            assert_masks_match_monitors(G)
+
+
+def test_geodesic_edge_masks_match_monitors_random():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randrange(6, 11)
+        G = random_connected_graph(rng, n, extra=rng.randrange(0, 2 * n))
+        assert_masks_match_monitors(G)
 
 
 def test_shortest_path_counts_values():

@@ -5,21 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megsolve import (LimitExceededError, NotConnectedError, PruneSequence,
-                      PruneStep, SEO, build_graph, detect_spider, is_simple,
+from megsolve import (Graph, LimitExceededError, NotConnectedError,
+                      PruneSequence, PruneStep, SEO, build_graph,
+                      detect_spider, gen_bipartite_permutation,
+                      gen_distance_hereditary, gen_p4_sparse,
+                      gen_random_connected, gen_strongly_chordal, is_simple,
                       recognize_bipartite_permutation,
                       recognize_distance_hereditary, recognize_p4_sparse,
                       recognize_strongly_chordal, spider_graph,
                       strong_ordering_from_orders, verify_prune_sequence,
                       verify_seo, verify_spider_partition,
                       verify_strong_ordering)
+from megsolve.recognizers import _simple_chain
 
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
                          brute_distance_hereditary, brute_p4_sparse,
                          complete_bipartite, complete_graph, cycle_graph,
-                         path_graph, random_connected_graph, star_graph,
-                         with_universal)
+                         path_graph, random_connected_graph,
+                         rescan_distance_hereditary, rescan_strongly_chordal,
+                         star_graph, with_universal)
 
 
 def three_sun():
@@ -391,6 +396,80 @@ def test_sc_greedy_matches_backtracking_random():
         G = random_connected_graph(rng, n, extra=rng.randrange(0, n))
         greedy = recognize_strongly_chordal(G)
         assert (greedy is not None) == backtracking_simple_elimination(G)
+
+
+# ---------------------------------------------------------------------------
+# incremental recognizers against the rescanning references
+
+
+def assert_same_as_rescan(G):
+    seo = recognize_strongly_chordal(G)
+    assert seo == rescan_strongly_chordal(G)
+    if seo is not None:
+        assert verify_seo(G, seo)
+    seq = recognize_distance_hereditary(G)
+    assert seq == rescan_distance_hereditary(G)
+    if seq is not None:
+        assert verify_prune_sequence(G, seq)
+    return seo is not None, seq is not None
+
+
+def test_incremental_matches_rescan_random():
+    rng = random.Random(2026)
+    found_sc = found_dh = 0
+    for _ in range(2400):
+        n = rng.randrange(1, 12)
+        p = rng.random()
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < p]
+        G = Graph([f"v{j}" for j in range(n)], edges)
+        sc, dh = assert_same_as_rescan(G)
+        found_sc += sc
+        found_dh += dh
+    # Both verdicts must be well represented for the comparison to bite.
+    assert 400 < found_sc < 2000 and 400 < found_dh < 2000
+
+
+def generated_instances():
+    for n in (12, 60, 200):
+        for seed in (1, 2):
+            yield gen_distance_hereditary(n, seed)
+            yield gen_p4_sparse(n, seed)  # dense, mostly neither class
+            yield gen_bipartite_permutation(n // 2, n // 2, seed)
+            yield gen_strongly_chordal(n, seed, "interval")
+            yield gen_strongly_chordal(n, seed, "block")
+            yield gen_random_connected(n, 2 * n, seed)
+    for legs in (3, 8, 40):
+        yield spider_graph(legs, "thin", head=3)
+        yield spider_graph(legs, "thick", head=3)
+
+
+def test_incremental_matches_rescan_generated():
+    verdicts = [assert_same_as_rescan(G) for G in generated_instances()]
+    assert {sc for sc, _ in verdicts} == {True, False}
+    assert {dh for _, dh in verdicts} == {True, False}
+
+
+def test_simple_chain_witness_survives_unrelated_deletions():
+    """A non-simple vertex stays non-simple while its witness is alive."""
+    rng = random.Random(404)
+    checked = 0
+    for _ in range(300):
+        n = rng.randrange(4, 11)
+        G = random_connected_graph(rng, n, extra=rng.randrange(0, 2 * n))
+        full = (1 << n) - 1
+        for v in range(n):
+            chain, witness = _simple_chain(G.adj_masks, full, v)
+            assert (chain is None) == (witness != 0)
+            if chain is not None:
+                continue
+            assert 2 <= witness.bit_count() <= 4
+            keep = witness | (1 << v)
+            for _ in range(5):
+                alive = keep | (rng.getrandbits(n) & full)
+                assert _simple_chain(G.adj_masks, alive, v)[0] is None
+                checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------------------------
