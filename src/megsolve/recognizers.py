@@ -1,10 +1,11 @@
 """Graph-class recognizers with replayable certificates.
 
 Four classes are recognized: distance-hereditary (pendant/twin pruning),
-P4-sparse (every five vertices induce at most one P4), bipartite
-permutation (strong-ordering search), and strongly chordal (simple-vertex
-elimination). Each positive answer carries a certificate that an
-independent verifier in this module can recheck.
+P4-sparse (every five vertices induce at most one P4; decided by splitting
+into disjoint unions, joins and spiders), bipartite permutation
+(strong-ordering search), and strongly chordal (simple-vertex
+elimination). Each positive answer except P4-sparse carries a certificate
+that an independent verifier in this module can recheck.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import LimitExceededError, NotConnectedError
+from .errors import NotConnectedError
 from .graph_core import Graph, bfs_distances, iter_bits
 
-DEFAULT_P4_SCAN_LIMIT = 60
 DEFAULT_BP_EXHAUSTIVE_LIMIT = 10
 SPIDER_FALLBACK_LIMIT = 12
 
@@ -138,48 +138,50 @@ def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
 # P4-sparse
 
 
-def _induces_p4(masks: tuple[int, ...], a: int, b: int, c: int, d: int) -> bool:
-    ab = masks[a] >> b & 1
-    ac = masks[a] >> c & 1
-    ad = masks[a] >> d & 1
-    bc = masks[b] >> c & 1
-    bd = masks[b] >> d & 1
-    cd = masks[c] >> d & 1
-    if ab + ac + ad + bc + bd + cd != 3:
-        return False
-    # Three edges on four vertices form P4, K1,3 or K3+K1; only the path
-    # has every degree in {1, 2}.
-    da = ab + ac + ad
-    db = ab + bc + bd
-    dc = ac + bc + cd
-    dd = ad + bd + cd
-    return 1 <= da <= 2 and 1 <= db <= 2 and 1 <= dc <= 2 and 1 <= dd <= 2
+def _components(masks: tuple[int, ...], X: int) -> list[int]:
+    """Components of the subgraph induced by X as vertex masks. Given the
+    complemented masks (``~m``), it returns the co-components instead."""
+    parts = []
+    while X:
+        comp = frontier = X & -X
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= masks[v]
+            frontier = reach & X & ~comp
+            comp |= frontier
+        parts.append(comp)
+        X &= ~comp
+    return parts
 
 
-def recognize_p4_sparse(G: Graph, limit: int = DEFAULT_P4_SCAN_LIMIT) -> bool:
+def recognize_p4_sparse(G: Graph) -> bool:
     """True iff every five vertices induce at most one P4.
 
-    Streams induced P4s and tests only the five-vertex supersets of each,
-    which is equivalent to the direct scan over all 5-subsets: two P4s in
-    one 5-set must share three vertices.
+    Walks the structure theorem of Jamison and Olariu (1992): a graph is
+    P4-sparse iff it has at most one vertex, or it is a disjoint union of
+    P4-sparse graphs, or a join of P4-sparse graphs, or a spider whose
+    head is P4-sparse. Vertex sets wait on a stack as bitmasks; a set
+    whose graph and complement are both connected must be a spider, found
+    by ``_spider_masks``, and only its head is pushed.
     """
-    if G.n > limit:
-        raise LimitExceededError("p4-sparse scan", G.n, limit)
-    if G.n < 5:
-        return True
     masks = G.adj_masks
-    n = G.n
-    for quad in itertools.combinations(range(n), 4):
-        if not _induces_p4(masks, *quad):
+    co_masks = tuple(~m for m in masks)
+    stack = [(1 << G.n) - 1]
+    while stack:
+        X = stack.pop()
+        if X & (X - 1) == 0:
             continue
-        in_quad = set(quad)
-        for w in range(n):
-            if w in in_quad:
-                continue
-            for i in range(4):
-                a, b, c = (quad[j] for j in range(4) if j != i)
-                if _induces_p4(masks, a, b, c, w):
-                    return False
+        parts = _components(masks, X)
+        if len(parts) == 1:
+            parts = _components(co_masks, X)
+        if len(parts) > 1:
+            stack.extend(parts)
+            continue
+        spider = _spider_masks(masks, X)
+        if spider is None:
+            return False
+        stack.append(spider[2])
     return True
 
 
@@ -262,39 +264,60 @@ def verify_spider_partition(G: Graph, s_set, c_set, r_set) -> SpiderPartition | 
     return SpiderPartition(kind, S, tuple(pairing[s] for s in S), R)
 
 
+def _spider_masks(masks: tuple[int, ...], X: int) -> tuple[int, int, int] | None:
+    """Spider (S, C, R) of the graph induced by X, as masks, or None.
+
+    In a thin spider the legs are exactly the vertices of degree 1, each
+    matched to its only neighbor in the body; in a thick spider (three or
+    more legs) the body is exactly the vertices of degree |X| - 2, each
+    missing only its own leg. Either candidate is kept only if it passes
+    every spider axiom: S stable, C a clique, R complete to C and
+    anticomplete to S.
+    """
+    size = X.bit_count()
+    if size < 4:
+        return None
+    legs = body = 0
+    for v in iter_bits(X):
+        d = (masks[v] & X).bit_count()
+        if d == 1:
+            legs |= 1 << v
+        elif d == size - 2:
+            body |= 1 << v
+    candidates = []
+    if legs.bit_count() >= 2:
+        stems = 0
+        for s in iter_bits(legs):
+            stems |= masks[s] & X
+        candidates.append((legs, stems))
+    if body.bit_count() >= 3:
+        missed = 0
+        for c in iter_bits(body):
+            missed |= X & ~masks[c] & ~(1 << c)
+        candidates.append((missed, body))
+    for S, C in candidates:
+        # popcounts equal: the leg-body pairing is a bijection
+        if S.bit_count() != C.bit_count() or S & C:
+            continue
+        R = X & ~S & ~C
+        if all(not masks[s] & (S | R) for s in iter_bits(S)) and all(
+                masks[c] & (C | R) == (C | R) & ~(1 << c) for c in iter_bits(C)):
+            return S, C, R
+    return None
+
+
 def detect_spider(G: Graph) -> SpiderPartition | None:
     """Find the spider partition of G if one exists.
 
-    In a thin spider the legs are exactly the degree-1 vertices; in a
-    thick spider the body is exactly the degree-(n-2) vertices. Both
-    candidate partitions are verified against the axioms; small graphs
-    additionally get an exhaustive fallback.
+    The degree rules of ``_spider_masks`` give the candidate, which is
+    returned normalized by ``verify_spider_partition``. Graphs on at most
+    ``SPIDER_FALLBACK_LIMIT`` vertices that the rules reject additionally
+    get an exhaustive search over all partitions.
     """
     n = G.n
-    if n < 4:
-        return None
-    pend = [v for v in range(n) if G.degree(v) == 1]
-    if len(pend) >= 2:
-        stems = sorted({G.adj[v][0] for v in pend})
-        if len(stems) == len(pend):
-            taken = set(pend) | set(stems)
-            rest = [v for v in range(n) if v not in taken]
-            part = verify_spider_partition(G, pend, stems, rest)
-            if part is not None:
-                return part
-    core = [v for v in range(n) if G.degree(v) == n - 2]
-    if len(core) >= 3:
-        full = (1 << n) - 1
-        legs = []
-        for c in core:
-            missing = full & ~G.closed_mask(c)
-            legs.append(missing.bit_length() - 1 if missing.bit_count() == 1 else -1)
-        if -1 not in legs and len(set(legs)) == len(legs) and not set(legs) & set(core):
-            taken = set(core) | set(legs)
-            rest = [v for v in range(n) if v not in taken]
-            part = verify_spider_partition(G, legs, core, rest)
-            if part is not None:
-                return part
+    spider = _spider_masks(G.adj_masks, (1 << n) - 1)
+    if spider is not None:
+        return verify_spider_partition(G, *(iter_bits(m) for m in spider))
     if n <= SPIDER_FALLBACK_LIMIT:
         for assign in itertools.product((0, 1, 2), repeat=n):
             S = [v for v in range(n) if assign[v] == 0]

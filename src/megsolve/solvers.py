@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (LimitExceededError, MethodMismatchError,
-                     NotConnectedError, NotP4SparseError)
+from .errors import MethodMismatchError, NotConnectedError, NotP4SparseError
 from .graph_core import (Graph, articulation_points, bfs_distances,
                          co_components, connected_components,
                          induced_subgraph, is_connected, vertex_set)
@@ -106,18 +105,14 @@ def solve_p4_structural(G: Graph) -> MegResult:
 
     With k >= 2 co-components the graph is a join and the join rules give
     the answer outright; those rules hold for arbitrary connected graphs,
-    so this route also solves join-shaped inputs that fail the P4-sparse
-    scan (class_used then reports "p4_shape"). With a connected complement
+    so this route also solves join-shaped inputs that are not P4-sparse
+    (class_used then reports "p4_shape"). With a connected complement
     the graph must be a spider (legs plus head), otherwise it is not
     P4-sparse and the solver refuses.
     """
     require_meg_input(G)
     t0 = time.perf_counter()
-    try:
-        sparse = recognize_p4_sparse(G)
-    except LimitExceededError:
-        sparse = None
-    cls = "p4_sparse" if sparse else "p4_shape"
+    cls = "p4_sparse" if recognize_p4_sparse(G) else "p4_shape"
     everyone = tuple(range(G.n))
     cos = co_components(G)
     witness: tuple[int, ...]
@@ -275,11 +270,7 @@ def solve(G: Graph, method: str = "auto",
         witness = mandatory_vertices(G)
         return MegResult("strongly_chordal", "mandatory_based", len(witness),
                          witness, time.perf_counter() - t0, True)
-    try:
-        sparse = recognize_p4_sparse(G)
-    except LimitExceededError:
-        sparse = False
-    if sparse:
+    if recognize_p4_sparse(G):
         witness = mandatory_vertices(G)
         return MegResult("p4_sparse", "mandatory_based", len(witness),
                          witness, time.perf_counter() - t0, True)

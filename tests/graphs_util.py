@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from megsolve import SEO, Graph, PruneSequence, PruneStep, build_graph
+from megsolve import (SEO, Graph, PruneSequence, PruneStep, SpiderPartition,
+                      build_graph, verify_spider_partition)
 
 
 def path_graph(k: int) -> Graph:
@@ -62,12 +63,24 @@ def _connected_sets(n: int, pairs: list[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
-def all_connected_graphs(n: int):
-    """Every connected graph on n labeled vertices, by edge subsets."""
+def all_connected_graphs(n: int, degree_sorted: bool = False):
+    """Every connected graph on n labeled vertices, by edge subsets.
+
+    With ``degree_sorted``, only those whose degrees do not increase with
+    the vertex id: relabeling by degree shows that this still leaves at
+    least one graph of every isomorphism class.
+    """
     labels = [f"v{i}" for i in range(n)]
     slots = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(slots)):
         pairs = [slots[i] for i in range(len(slots)) if bits >> i & 1]
+        if degree_sorted:
+            degree = [0] * n
+            for u, v in pairs:
+                degree[u] += 1
+                degree[v] += 1
+            if any(degree[i] < degree[i + 1] for i in range(n - 1)):
+                continue
         if _connected_sets(n, pairs):
             yield build_graph([(labels[u], labels[v]) for u, v in pairs],
                               vertices=labels)
@@ -195,6 +208,69 @@ def brute_p4_sparse(G: Graph) -> bool:
         if count > 1:
             return False
     return True
+
+
+def _induces_p4(masks: tuple[int, ...], a: int, b: int, c: int, d: int) -> bool:
+    ab = masks[a] >> b & 1
+    ac = masks[a] >> c & 1
+    ad = masks[a] >> d & 1
+    bc = masks[b] >> c & 1
+    bd = masks[b] >> d & 1
+    cd = masks[c] >> d & 1
+    if ab + ac + ad + bc + bd + cd != 3:
+        return False
+    # Three edges on four vertices form P4, K1,3 or K3+K1; only the path
+    # has every degree in {1, 2}.
+    da = ab + ac + ad
+    db = ab + bc + bd
+    dc = ac + bc + cd
+    dd = ad + bd + cd
+    return 1 <= da <= 2 and 1 <= db <= 2 and 1 <= dc <= 2 and 1 <= dd <= 2
+
+
+def scan_p4_sparse(G: Graph) -> bool:
+    """True iff every five vertices induce at most one P4.
+
+    Streams induced P4s and tests only the five-vertex supersets of each,
+    which is equivalent to the direct scan over all 5-subsets: two P4s in
+    one 5-set must share three vertices. O(n^5) in the worst case; the
+    package's recognizer must agree with it.
+    """
+    if G.n < 5:
+        return True
+    masks = G.adj_masks
+    n = G.n
+    for quad in itertools.combinations(range(n), 4):
+        if not _induces_p4(masks, *quad):
+            continue
+        in_quad = set(quad)
+        for w in range(n):
+            if w in in_quad:
+                continue
+            for i in range(4):
+                a, b, c = (quad[j] for j in range(4) if j != i)
+                if _induces_p4(masks, a, b, c, w):
+                    return False
+    return True
+
+
+def exhaustive_spider(G: Graph) -> SpiderPartition | None:
+    """Spider partition by trying all 3^n assignments of legs, body and
+    head; the package's degree rules must find a spider whenever this
+    does."""
+    n = G.n
+    for assign in itertools.product((0, 1, 2), repeat=n):
+        S = [v for v in range(n) if assign[v] == 0]
+        if len(S) < 2 or 2 * len(S) > n:
+            continue
+        C = [v for v in range(n) if assign[v] == 1]
+        if len(C) != len(S):
+            continue
+        R = [v for v in range(n) if assign[v] == 2]
+        part = verify_spider_partition(G, S, C, R)
+        if part is not None:
+            return part
+    return None
 
 
 def brute_distance_hereditary(G: Graph) -> bool:

@@ -5,8 +5,8 @@ import pytest
 
 from megsolve import (EdgeListParseError, GenSpec, GenerationError,
                       LimitExceededError, MethodMismatchError,
-                      NotConnectedError, SelfLoopError, generate,
-                      graph_from_edge_list)
+                      NotConnectedError, SelfLoopError, format_edge_list,
+                      generate, graph_from_edge_list, mandatory_vertices)
 from megsolve import cli
 from megsolve.cli import main
 
@@ -109,12 +109,35 @@ def test_recognize_certificates(tmp_path, capsys):
     assert certs["spider"]["s"] == ["s1", "s2", "s3"]
 
 
-def test_recognize_p4_unknown_over_limit(tmp_path, capsys):
+def _p4_sparse_120(tmp_path):
+    """gen_p4_sparse(120, seed=0): a spider, and not strongly chordal."""
+    G = generate(GenSpec("p4_sparse", seed=0, n=120))
+    path = tmp_path / "p4sparse120.edges"
+    path.write_text(format_edge_list(G))
+    return G, str(path)
+
+
+def test_recognize_p4_decided_over_60(tmp_path, capsys):
     lines = "".join(f"v{i} v{i + 1}\n" for i in range(61))
     path = write(tmp_path, "long.edges", lines)
     code, out, _ = run(capsys, "recognize", path)
     assert code == 0
-    assert json.loads(out)["result"]["p4Sparse"] == "unknown"
+    assert json.loads(out)["result"]["p4Sparse"] == "no"
+    _, path = _p4_sparse_120(tmp_path)
+    code, out, _ = run(capsys, "recognize", path)
+    assert code == 0
+    assert json.loads(out)["result"]["p4Sparse"] == "yes"
+
+
+@pytest.mark.parametrize("method", ["auto", "mandatory", "structural"])
+def test_meg_on_p4_sparse_over_60(tmp_path, capsys, method):
+    G, path = _p4_sparse_120(tmp_path)
+    code, out, err = run(capsys, "meg", path, "--method", method)
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["class"] == "p4_sparse"
+    assert result["witness"] == sorted(G.labels_of(mandatory_vertices(G)))
+    assert result["meg"] == len(result["witness"])
 
 
 def test_verify_ok_and_uncovered(tmp_path, capsys):

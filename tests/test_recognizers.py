@@ -1,30 +1,32 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megsolve import (Graph, LimitExceededError, NotConnectedError,
+from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
                       PruneSequence, PruneStep, SEO, build_graph,
+                      co_components, complement, connected_components,
                       detect_spider, gen_bipartite_permutation,
                       gen_distance_hereditary, gen_p4_sparse,
-                      gen_random_connected, gen_strongly_chordal, is_simple,
-                      recognize_bipartite_permutation,
+                      gen_random_connected, gen_strongly_chordal, generate,
+                      is_simple, recognize_bipartite_permutation,
                       recognize_distance_hereditary, recognize_p4_sparse,
                       recognize_strongly_chordal, spider_graph,
                       strong_ordering_from_orders, verify_prune_sequence,
                       verify_seo, verify_spider_partition,
                       verify_strong_ordering)
-from megsolve.recognizers import _simple_chain
+from megsolve.recognizers import _simple_chain, _spider_masks
 
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
                          brute_distance_hereditary, brute_p4_sparse,
                          complete_bipartite, complete_graph, cycle_graph,
-                         path_graph, random_connected_graph,
+                         exhaustive_spider, path_graph, random_connected_graph,
                          rescan_distance_hereditary, rescan_strongly_chordal,
-                         star_graph, with_universal)
+                         scan_p4_sparse, star_graph, with_universal)
 
 
 def three_sun():
@@ -152,10 +154,98 @@ def test_p4_sparse_matches_definition_random():
         assert recognize_p4_sparse(G) == brute_p4_sparse(G)
 
 
-def test_p4_sparse_scan_limit():
-    with pytest.raises(LimitExceededError):
-        recognize_p4_sparse(path_graph(61))
-    assert not recognize_p4_sparse(path_graph(61), limit=100)
+def test_p4_sparse_has_no_size_limit():
+    assert not recognize_p4_sparse(path_graph(61))
+    assert recognize_p4_sparse(gen_p4_sparse(120, seed=0))
+
+
+def _flip_edge(G: Graph, u: int, v: int) -> Graph:
+    edges = set(G.edges())
+    edges ^= {(min(u, v), max(u, v))}
+    return Graph(G.labels, sorted(edges))
+
+
+def _random_p4_piece(rng, n: int) -> Graph:
+    """A G(n, p) draw or its complement, or a P4-sparse draw with at most
+    one edge flipped."""
+    if rng.random() < 0.5:
+        p = rng.random()
+        G = Graph([f"v{i}" for i in range(n)],
+                  [e for e in itertools.combinations(range(n), 2)
+                   if rng.random() < p])
+        return complement(G) if rng.random() < 0.5 else G
+    G = gen_p4_sparse(n, rng.randrange(10**6))
+    if n < 2 or rng.random() < 0.3:
+        return G
+    return _flip_edge(G, *rng.sample(range(n), 2))
+
+
+def _random_p4_inputs(rng) -> Graph:
+    """Graphs on 1..11 vertices: one random piece, or the disjoint union
+    or the join of two."""
+    n = rng.randrange(1, 12)
+    shape = rng.randrange(3)
+    if shape == 0 or n < 2:
+        return _random_p4_piece(rng, n)
+    k = rng.randrange(1, n)
+    A, B = _random_p4_piece(rng, k), _random_p4_piece(rng, n - k)
+    edges = list(A.edges()) + [(k + u, k + v) for u, v in B.edges()]
+    if shape == 2:
+        edges += [(a, k + b) for a in range(k) for b in range(n - k)]
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def test_p4_sparse_matches_scan_and_definition_random():
+    rng = random.Random(23)
+    seen = Counter()
+    for i in range(1200):
+        G = _random_p4_inputs(rng)
+        got = recognize_p4_sparse(G)
+        assert got == scan_p4_sparse(G), sorted(G.edges())
+        if i % 4 == 0:
+            assert got == brute_p4_sparse(G), sorted(G.edges())
+        split = ("union" if len(connected_components(G)) > 1 else
+                 "join" if len(co_components(G)) > 1 else "neither")
+        seen[got, split] += 1
+    assert min(seen.values()) >= 60 and len(seen) == 6, seen
+
+
+def _generator_specs(n: int, seeds):
+    for cls in CLASSES:
+        for seed in seeds:
+            if cls == "bipartite_permutation":
+                yield GenSpec(cls, seed, p=n // 2, q=n - n // 2)
+            elif cls == "random":
+                yield GenSpec(cls, seed, n=n, m=2 * n)
+            else:
+                yield GenSpec(cls, seed, n=n)
+
+
+def test_p4_sparse_matches_scan_on_generator_families():
+    for spec in _generator_specs(12, range(4)):
+        G = generate(spec)
+        assert recognize_p4_sparse(G) == scan_p4_sparse(G) == brute_p4_sparse(G)
+    for spec in _generator_specs(60, (0,)):
+        G = generate(spec)
+        assert recognize_p4_sparse(G) == scan_p4_sparse(G), spec
+    for legs, kind in ((9, "thin"), (9, "thick")):
+        G = spider_graph(legs, kind, head=5, head_edges=((0, 1), (2, 3)))
+        assert recognize_p4_sparse(G) and scan_p4_sparse(G)
+
+
+def test_p4_sparse_accepts_large_generated_members():
+    for n in (200, 1000):
+        for seed in range(3):
+            assert recognize_p4_sparse(gen_p4_sparse(n, seed))
+
+
+def test_p4_sparse_rejects_p5_inside_spider_or_join():
+    p5 = tuple((i, i + 1) for i in range(4))
+    for kind in ("thin", "thick"):
+        G = spider_graph(3, kind, head=5, head_edges=p5)
+        assert detect_spider(G) is not None
+        assert not recognize_p4_sparse(G)
+    assert not recognize_p4_sparse(with_universal(path_graph(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +326,47 @@ def test_detect_spider_beyond_exhaustive_range():
         part = detect_spider(G)
         assert part is not None and part.kind == kind
         assert len(part.s_vertices) == 7 and len(part.r_vertices) == 2
+
+
+def _spider_found(G: Graph):
+    return _spider_masks(G.adj_masks, (1 << G.n) - 1)
+
+
+def _mask(ids) -> int:
+    return sum(1 << v for v in ids)
+
+
+def test_spider_degree_rules_match_exhaustive_search():
+    spiders = 0
+    for n in range(1, 7):
+        for G in all_connected_graphs(n, degree_sorted=True):
+            ref = exhaustive_spider(G)
+            found = _spider_found(G)
+            assert (found is None) == (ref is None), sorted(G.edges())
+            if ref is not None:
+                spiders += 1
+                assert found == (_mask(ref.s_vertices), _mask(ref.c_vertices),
+                                 _mask(ref.r_vertices))
+                assert detect_spider(G) == ref
+    assert spiders >= 10
+
+
+def test_spider_degree_rules_on_fixtures():
+    rng = random.Random(31)
+    for legs in range(2, 9):
+        for head in range(5):
+            pairs = list(itertools.combinations(range(head), 2))
+            for kind in ("thin", "thick"):
+                head_edges = tuple(p for p in pairs if rng.random() < 0.5)
+                G = spider_graph(legs, kind, head=head, head_edges=head_edges)
+                ids = lambda prefix, k: [G.id_of(f"{prefix}{i + 1}")  # noqa: E731
+                                         for i in range(k)]
+                S, C = ids("s", legs), ids("c", legs)
+                assert _spider_found(G) == (_mask(S), _mask(C),
+                                            _mask(ids("r", head)))
+                part = detect_spider(G)
+                assert part.kind == ("thin" if legs == 2 else kind)
+                assert set(part.s_vertices) == set(S)
 
 
 def test_detect_spider_small_with_head():
