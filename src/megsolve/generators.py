@@ -134,37 +134,36 @@ def gen_bipartite_permutation_with_ordering(
 
     Each left vertex gets a column interval; interval starts and ends are
     nondecreasing and consecutive intervals overlap, which makes the
-    natural orders a strong ordering and the graph connected.
+    natural orders a strong ordering and the graph connected. The
+    ordering is verified before it is returned.
     """
     if p < 1 or q < 1:
         raise ValueError("both sides need at least one vertex")
     if window is None:
         window = max(1, 2 * q // p + 1)
     rng = random.Random(seed)
-    for _ in range(5):
-        fs: list[int] = []
-        ls: list[int] = []
-        f_cur = 0
-        l_cur = rng.randint(0, min(q - 1, window - 1))
-        for i in range(p):
-            fs.append(f_cur)
-            ls.append(l_cur)
-            if i == p - 1:
-                break
-            f_cur = rng.randint(f_cur, l_cur)
-            lo = max(l_cur, f_cur)
-            l_cur = rng.randint(lo, min(q - 1, lo + window))
-        ls[-1] = q - 1
-        labels = [f"x{i}" for i in range(p)] + [f"y{j}" for j in range(q)]
-        edges = [(i, p + j)
-                 for i in range(p) for j in range(fs[i], ls[i] + 1)]
-        G = Graph(labels, edges)
-        so = strong_ordering_from_orders(G, tuple(range(p)),
-                                         tuple(range(p, p + q)))
-        if verify_strong_ordering(G, so):
-            return G, so
-    raise GenerationError(
-        f"could not realize a strong ordering for p={p} q={q} seed={seed}")
+    fs: list[int] = []
+    ls: list[int] = []
+    f_cur = 0
+    l_cur = rng.randint(0, min(q - 1, window - 1))
+    for i in range(p):
+        fs.append(f_cur)
+        ls.append(l_cur)
+        if i == p - 1:
+            break
+        f_cur = rng.randint(f_cur, l_cur)
+        lo = max(l_cur, f_cur)
+        l_cur = rng.randint(lo, min(q - 1, lo + window))
+    ls[-1] = q - 1
+    labels = [f"x{i}" for i in range(p)] + [f"y{j}" for j in range(q)]
+    edges = [(i, p + j) for i in range(p) for j in range(fs[i], ls[i] + 1)]
+    G = Graph(labels, edges)
+    so = strong_ordering_from_orders(G, tuple(range(p)),
+                                     tuple(range(p, p + q)))
+    if not verify_strong_ordering(G, so):
+        raise GenerationError(
+            f"could not realize a strong ordering for p={p} q={q} seed={seed}")
+    return G, so
 
 
 def gen_bipartite_permutation(p: int, q: int, seed: int,

@@ -306,19 +306,25 @@ def _spider_masks(masks: tuple[int, ...], X: int) -> tuple[int, int, int] | None
     return None
 
 
+def spider_by_degrees(G: Graph) -> SpiderPartition | None:
+    """Spider partition of G by the degree rules of ``_spider_masks``,
+    normalized by ``verify_spider_partition``, or None."""
+    spider = _spider_masks(G.adj_masks, (1 << G.n) - 1)
+    if spider is None:
+        return None
+    return verify_spider_partition(G, *(iter_bits(m) for m in spider))
+
+
 def detect_spider(G: Graph) -> SpiderPartition | None:
     """Find the spider partition of G if one exists.
 
-    The degree rules of ``_spider_masks`` give the candidate, which is
-    returned normalized by ``verify_spider_partition``. Graphs on at most
+    ``spider_by_degrees`` gives the candidate. Graphs on at most
     ``SPIDER_FALLBACK_LIMIT`` vertices that the rules reject additionally
     get an exhaustive search over all partitions.
     """
     n = G.n
-    spider = _spider_masks(G.adj_masks, (1 << n) - 1)
-    if spider is not None:
-        return verify_spider_partition(G, *(iter_bits(m) for m in spider))
-    if n <= SPIDER_FALLBACK_LIMIT:
+    part = spider_by_degrees(G)
+    if part is None and n <= SPIDER_FALLBACK_LIMIT:
         for assign in itertools.product((0, 1, 2), repeat=n):
             S = [v for v in range(n) if assign[v] == 0]
             if len(S) < 2 or 2 * len(S) > n:
@@ -330,7 +336,7 @@ def detect_spider(G: Graph) -> SpiderPartition | None:
             part = verify_spider_partition(G, S, C, R)
             if part is not None:
                 return part
-    return None
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +422,28 @@ def _consecutive_neighborhoods(G: Graph, so: StrongOrdering) -> bool:
 
 
 def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
-    """Full certificate check, quadratic in the edge count.
+    """Full certificate check, linear in the size of G.
 
-    Raises ValueError when the two orders are not a bipartition of G;
-    returns False when any ordering property fails.
+    Raises ValueError when the two orders are not a bipartition of G, or
+    when ``first`` lists an isolated vertex; returns False when any
+    ordering property fails.
+
+    Following Spinrad, Brandstaedt and Stewart ("Bipartite permutation
+    graphs", DAM 1987), the orders pass iff every neighborhood is
+    consecutive in the opposite order and its ends, f(v) = first and
+    l(v) = last position, are non-decreasing along each side; one pass
+    over each side checks both. Together they imply the two pairwise
+    properties of a strong ordering, so neither needs a scan over pairs:
+
+    * Crossing: for a < a' and b' < b with ab, a'b' in E,
+      f(a) <= f(a') <= b' < b <= l(a), so ab' in E, and
+      f(a') <= b' < b <= l(a) <= l(a'), so a'b in E.
+    * Enclosure: N(u) a subset of N(v) on the same side means
+      f(v) <= f(u) and l(u) <= l(v); monotone ends give the reverse of
+      one of the two, so the firsts or the lasts are equal and
+      N(v) minus N(u) is one run.
+
+    The recorded ``first``/``last`` are then replayed against the ends.
     """
     xs, ys = set(so.x_order), set(so.y_order)
     if len(so.x_order) != len(xs) or len(so.y_order) != len(ys):
@@ -433,43 +457,31 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
                     raise ValueError("ordering sides are not a bipartition")
     xpos = {v: i for i, v in enumerate(so.x_order)}
     ypos = {v: i for i, v in enumerate(so.y_order)}
-    edges = []
-    for v in so.x_order:
-        edges.extend((v, w) for w in G.adj[v])
-    for a, b in edges:
-        pa, pb = xpos[a], ypos[b]
-        for a2, b2 in edges:
-            if pa < xpos[a2] and ypos[b2] < pb:
-                if not (G.has_edge(a, b2) and G.has_edge(a2, b)):
-                    return False
-    if not _consecutive_neighborhoods(G, so):
-        return False
-    # Enclosure: nested neighborhoods differ by a consecutive run.
-    masks = G.adj_masks
-    for side, pos in ((so.x_order, ypos), (so.y_order, xpos)):
-        for u in side:
-            for v in side:
-                if u == v or masks[u] & ~masks[v]:
-                    continue
-                diff = masks[v] & ~masks[u]
-                ps = sorted(pos[w] for w in iter_bits(diff))
-                if ps and ps[-1] - ps[0] + 1 != len(ps):
-                    return False
-    for side, pos in ((so.x_order, ypos), (so.y_order, xpos)):
+    sides = ((so.x_order, ypos), (so.y_order, xpos))
+    ends = {}
+    for side, pos in sides:
         prev_f = prev_l = -1
+        for v in side:
+            if not G.adj[v]:
+                continue
+            ps = [pos[w] for w in G.adj[v]]
+            f, l = min(ps), max(ps)
+            if l - f + 1 != len(ps) or f < prev_f or l < prev_l:
+                return False
+            prev_f, prev_l = ends[v] = f, l
+    # The orders alone decide False before any lookup in the recorded
+    # maps can raise.
+    for side, pos in sides:
         for v in side:
             if v not in so.first:
                 if G.adj[v]:
                     return False
                 continue
-            f, l = pos[so.first[v]], pos[so.last[v]]
-            computed_f = min(pos[w] for w in G.adj[v])
-            computed_l = max(pos[w] for w in G.adj[v])
-            if f != computed_f or l != computed_l:
+            recorded = pos[so.first[v]], pos[so.last[v]]
+            if not G.adj[v]:
+                raise ValueError(f"isolated vertex {v} has a first neighbor")
+            if recorded != ends[v]:
                 return False
-            if f < prev_f or l < prev_l:
-                return False
-            prev_f, prev_l = f, l
     return True
 
 
@@ -502,10 +514,11 @@ def recognize_bipartite_permutation(
     """Search for a strong ordering.
 
     The layered heuristic is tried from a double-sweep endpoint and then
-    from every vertex; every candidate is fully verified, so "yes" is
-    always certified. "no" is certified by non-bipartiteness or, on small
-    graphs, by exhausting all orderings; otherwise the verdict is
-    "unknown".
+    from every vertex; every candidate goes through the linear-time
+    ``verify_strong_ordering``, so "yes" is always certified. "no" is
+    certified by non-bipartiteness or, on small graphs, by exhausting all
+    orderings, where the cheaper ``_consecutive_neighborhoods`` test
+    screens each candidate first; otherwise the verdict is "unknown".
     """
     from .graph_core import is_connected
 
@@ -529,7 +542,7 @@ def recognize_bipartite_permutation(
     for start in starts:
         x_order, y_order = _layered_candidate(G, start)
         so = strong_ordering_from_orders(G, x_order, y_order)
-        if _consecutive_neighborhoods(G, so) and verify_strong_ordering(G, so):
+        if verify_strong_ordering(G, so):
             return BipPermResult("yes", so)
     if G.n <= exhaustive_limit:
         X, Y = coloring

@@ -20,10 +20,10 @@ from .graph_core import (Graph, articulation_points, bfs_distances,
                          induced_subgraph, is_connected, vertex_set)
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
-from .recognizers import (StrongOrdering, detect_spider,
-                          recognize_bipartite_permutation,
+from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
                           recognize_distance_hereditary, recognize_p4_sparse,
-                          recognize_strongly_chordal, verify_strong_ordering)
+                          recognize_strongly_chordal, spider_by_degrees,
+                          verify_strong_ordering)
 
 METHODS = ("auto", "cut", "mandatory", "structural", "oracle", "decomposition")
 
@@ -108,7 +108,9 @@ def solve_p4_structural(G: Graph) -> MegResult:
     so this route also solves join-shaped inputs that are not P4-sparse
     (class_used then reports "p4_shape"). With a connected complement
     the graph must be a spider (legs plus head), otherwise it is not
-    P4-sparse and the solver refuses.
+    P4-sparse and the solver refuses. The spider comes from the degree
+    rules alone (``spider_by_degrees``): legs and body of a spider are
+    fixed by their degrees, so no exhaustive search is needed.
     """
     require_meg_input(G)
     t0 = time.perf_counter()
@@ -133,7 +135,7 @@ def solve_p4_structural(G: Graph) -> MegResult:
                 near, _ = ecc_le2_exists(core)
                 witness = everyone if near else rest
     else:
-        part = detect_spider(G)
+        part = spider_by_degrees(G)
         if part is None:
             raise NotP4SparseError(
                 "connected complement but no spider partition; "

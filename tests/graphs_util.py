@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 
 from megsolve import (SEO, Graph, PruneSequence, PruneStep, SpiderPartition,
-                      build_graph, verify_spider_partition)
+                      StrongOrdering, build_graph, verify_spider_partition)
 
 
 def path_graph(k: int) -> Graph:
@@ -302,6 +302,82 @@ def _strong_ok(adj: dict[int, set[int]], xs, ys) -> bool:
         if xpos[a2] < xpos[a] and ypos[b] < ypos[b2]:
             if b not in adj[a2] or b2 not in adj[a]:
                 return False
+    return True
+
+
+def _consecutive_neighborhoods(G: Graph, so: StrongOrdering) -> bool:
+    pos = {}
+    for i, v in enumerate(so.x_order):
+        pos[v] = i
+    for i, v in enumerate(so.y_order):
+        pos[v] = i
+    for v in range(G.n):
+        if not G.adj[v]:
+            continue
+        ps = sorted(pos[w] for w in G.adj[v])
+        if ps[-1] - ps[0] + 1 != len(ps):
+            return False
+    return True
+
+
+def quadratic_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
+    """The package's former strong-ordering check, quadratic in the edge
+    count: an all-pairs crossing scan and an all-pairs enclosure scan on
+    top of the interval and monotone-end checks. Reference for
+    ``verify_strong_ordering``.
+
+    Raises ValueError when the two orders are not a bipartition of G;
+    returns False when any ordering property fails.
+    """
+    xs, ys = set(so.x_order), set(so.y_order)
+    if len(so.x_order) != len(xs) or len(so.y_order) != len(ys):
+        raise ValueError("orders repeat vertices")
+    if xs & ys or len(xs) + len(ys) != G.n:
+        raise ValueError("orders do not partition the vertex set")
+    for side in (so.x_order, so.y_order):
+        for v in side:
+            for w in G.adj[v]:
+                if (w in xs) == (v in xs):
+                    raise ValueError("ordering sides are not a bipartition")
+    xpos = {v: i for i, v in enumerate(so.x_order)}
+    ypos = {v: i for i, v in enumerate(so.y_order)}
+    edges = []
+    for v in so.x_order:
+        edges.extend((v, w) for w in G.adj[v])
+    for a, b in edges:
+        pa, pb = xpos[a], ypos[b]
+        for a2, b2 in edges:
+            if pa < xpos[a2] and ypos[b2] < pb:
+                if not (G.has_edge(a, b2) and G.has_edge(a2, b)):
+                    return False
+    if not _consecutive_neighborhoods(G, so):
+        return False
+    # Enclosure: nested neighborhoods differ by a consecutive run.
+    masks = G.adj_masks
+    for side, pos in ((so.x_order, ypos), (so.y_order, xpos)):
+        for u in side:
+            for v in side:
+                if u == v or masks[u] & ~masks[v]:
+                    continue
+                diff = masks[v] & ~masks[u]
+                ps = sorted(pos[w] for w in _bits(diff))
+                if ps and ps[-1] - ps[0] + 1 != len(ps):
+                    return False
+    for side, pos in ((so.x_order, ypos), (so.y_order, xpos)):
+        prev_f = prev_l = -1
+        for v in side:
+            if v not in so.first:
+                if G.adj[v]:
+                    return False
+                continue
+            f, l = pos[so.first[v]], pos[so.last[v]]
+            computed_f = min(pos[w] for w in G.adj[v])
+            computed_l = max(pos[w] for w in G.adj[v])
+            if f != computed_f or l != computed_l:
+                return False
+            if f < prev_f or l < prev_l:
+                return False
+            prev_f, prev_l = f, l
     return True
 
 

@@ -6,8 +6,9 @@ import pytest
 from megsolve import (EdgeListParseError, GenSpec, GenerationError,
                       LimitExceededError, MethodMismatchError,
                       NotConnectedError, SelfLoopError, format_edge_list,
-                      generate, graph_from_edge_list, mandatory_vertices)
-from megsolve import cli
+                      generate, graph_from_edge_list, mandatory_vertices,
+                      solve_p4_structural, spider_graph)
+from megsolve import cli, recognizers, solvers
 from megsolve.cli import main
 
 
@@ -138,6 +139,30 @@ def test_meg_on_p4_sparse_over_60(tmp_path, capsys, method):
     assert result["class"] == "p4_sparse"
     assert result["witness"] == sorted(G.labels_of(mandatory_vertices(G)))
     assert result["meg"] == len(result["witness"])
+
+
+def test_structural_skips_exhaustive_spider_search(tmp_path, capsys,
+                                                   monkeypatch):
+    def refuse(G):
+        raise AssertionError("exhaustive spider search called")
+
+    for module in (recognizers, solvers, cli):
+        monkeypatch.setattr(module, "detect_spider", refuse, raising=False)
+    c12 = write(tmp_path, "c12.edges",
+                "".join(f"v{i} v{(i + 1) % 12}\n" for i in range(12)))
+    code, out, err = run(capsys, "meg", c12, "--method", "structural")
+    assert (code, out) == (4, "")
+    assert "not P4-sparse" in err
+    for legs in range(2, 9):
+        for head in range(5):
+            for kind in ("thin", "thick"):
+                G = spider_graph(legs, kind, head=head)
+                witness = set(G.labels_of(solve_p4_structural(G).witness))
+                if kind == "thick" and legs > 2:
+                    assert witness == set(G.labels)
+                else:
+                    assert witness == {f"s{i + 1}" for i in range(legs)} | \
+                        {f"r{i + 1}" for i in range(head)}
 
 
 def test_verify_ok_and_uncovered(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
                       PruneSequence, PruneStep, SEO, build_graph,
                       co_components, complement, connected_components,
                       detect_spider, gen_bipartite_permutation,
+                      gen_bipartite_permutation_with_ordering,
                       gen_distance_hereditary, gen_p4_sparse,
                       gen_random_connected, gen_strongly_chordal, generate,
                       is_simple, recognize_bipartite_permutation,
@@ -24,7 +26,8 @@ from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
                          brute_distance_hereditary, brute_p4_sparse,
                          complete_bipartite, complete_graph, cycle_graph,
-                         exhaustive_spider, path_graph, random_connected_graph,
+                         exhaustive_spider, path_graph,
+                         quadratic_strong_ordering, random_connected_graph,
                          rescan_distance_hereditary, rescan_strongly_chordal,
                          scan_p4_sparse, star_graph, with_universal)
 
@@ -458,6 +461,127 @@ def test_verify_strong_ordering_rejects_scrambles():
     with pytest.raises(ValueError):
         verify_strong_ordering(
             G, strong_ordering_from_orders(G, so.x_order, so.y_order[:-1]))
+
+
+def _outcome(check, G, so):
+    try:
+        return check(G, so)
+    except Exception as exc:  # the exception type is the verdict
+        return type(exc)
+
+
+def _agree(G, so):
+    fast = _outcome(verify_strong_ordering, G, so)
+    assert fast == _outcome(quadratic_strong_ordering, G, so), (
+        sorted(G.edges()), so)
+    return fast
+
+
+def _bipartite(p: int, q: int, edges) -> Graph:
+    """Sides 0..p-1 and p..p+q-1; isolated vertices allowed."""
+    return Graph([f"v{v}" for v in range(p + q)], edges)
+
+
+def test_strong_ordering_matches_quadratic_exhaustive():
+    verdicts = Counter()
+    for n in range(2, 7):
+        for p in range(1, n):
+            pairs = [(i, j) for i in range(p) for j in range(p, n)]
+            orders = list(itertools.product(
+                itertools.permutations(range(p)),
+                itertools.permutations(range(p, n))))
+            for bits in range(1 << len(pairs)):
+                G = _bipartite(p, n - p, [e for k, e in enumerate(pairs)
+                                          if bits >> k & 1])
+                for xs, ys in orders:
+                    so = strong_ordering_from_orders(G, xs, ys)
+                    verdicts[_agree(G, so)] += 1
+    assert verdicts[True] >= 10000 and verdicts[False] >= 10000
+
+
+def _random_bipartite(rng):
+    p = rng.randint(1, 5)
+    q = rng.randint(1, 10 - p)
+    density = rng.random()
+    G = _bipartite(p, q, [(i, j) for i in range(p) for j in range(p, p + q)
+                          if rng.random() < density])
+    xs, ys = list(range(p)), list(range(p, p + q))
+    rng.shuffle(xs)
+    rng.shuffle(ys)
+    return G, strong_ordering_from_orders(G, xs, ys)
+
+
+def test_strong_ordering_matches_quadratic_random():
+    rng = random.Random(1987)
+    verdicts = Counter()
+    for _ in range(3000):
+        verdicts[_agree(*_random_bipartite(rng))] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000
+
+
+def _tamper(G, so, rng):
+    """Corrupt one entry of the first/last maps."""
+    first, last = dict(so.first), dict(so.last)
+    v = rng.randrange(G.n)
+    own, other = ((so.x_order, so.y_order) if v in so.x_order
+                  else (so.y_order, so.x_order))
+    how = rng.randrange(5)
+    if how == 0:  # any vertex of the other side, isolated v too
+        first[v] = rng.choice(other)
+        last[v] = rng.choice(other)
+    elif how == 1:
+        last[v] = rng.choice(other)
+    elif how == 2:
+        first.pop(v, None)
+    elif how == 3:  # a vertex of v's own side
+        first[v] = rng.choice(own)
+    else:
+        last.pop(v, None)
+    return dataclasses.replace(so, first=first, last=last)
+
+
+def test_strong_ordering_matches_quadratic_on_bad_certificates():
+    rng = random.Random(1992)
+    verdicts = Counter()
+    for _ in range(3000):
+        G, so = _random_bipartite(rng)
+        verdicts[_agree(G, _tamper(G, so, rng))] += 1
+    assert all(verdicts[v] >= 100 for v in (True, False, KeyError, ValueError))
+
+
+def test_strong_ordering_certificate_faults():
+    G = _bipartite(2, 3, [(0, 2), (0, 3), (1, 3), (1, 4)])
+    so = strong_ordering_from_orders(G, (0, 1), (2, 3, 4))
+    assert _agree(G, so) is True
+    wrong_first = dataclasses.replace(so, first={**so.first, 0: 3})
+    assert _agree(G, wrong_first) is False
+    wrong_last = dataclasses.replace(so, last={**so.last, 4: 0})
+    assert _agree(G, wrong_last) is False
+    # an isolated vertex may not carry a first/last neighbor
+    G = _bipartite(2, 3, [(0, 2), (0, 3), (1, 3)])
+    so = strong_ordering_from_orders(G, (0, 1), (2, 3, 4))
+    assert 4 not in so.first and _agree(G, so) is True
+    listed = dataclasses.replace(so, first={**so.first, 4: 1},
+                                 last={**so.last, 4: 1})
+    assert _agree(G, listed) is ValueError
+    # orders that fail decide False before the certificate is read
+    crossed = strong_ordering_from_orders(G, (1, 0), (2, 3, 4))
+    assert _agree(G, dataclasses.replace(
+        crossed, first={**crossed.first, 4: 1},
+        last={**crossed.last, 4: 1})) is False
+
+
+def test_strong_ordering_accepts_large_generated():
+    for p in (100, 500):
+        G, so = gen_bipartite_permutation_with_ordering(p, p, seed=p)
+        assert G.n == 2 * p
+        assert verify_strong_ordering(G, so)
+        res = recognize_bipartite_permutation(G)
+        assert res.verdict == "yes"
+        assert verify_strong_ordering(G, res.ordering)
+        if p == 100:
+            assert quadratic_strong_ordering(G, so)
+            assert quadratic_strong_ordering(G, res.ordering)
 
 
 # ---------------------------------------------------------------------------
