@@ -285,9 +285,30 @@ def complement(G: Graph) -> Graph:
     return Graph(G.labels, edges)
 
 
+def mask_components(masks: Sequence[int], X: int) -> list[int]:
+    """Components of the subgraph induced by the vertex mask X, as vertex
+    masks ordered by lowest member. Given complemented adjacency masks
+    (``~m``), it returns the co-components instead."""
+    parts = []
+    while X:
+        comp = frontier = X & -X
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= masks[v]
+            frontier = reach & X & ~comp
+            comp |= frontier
+        parts.append(comp)
+        X &= ~comp
+    return parts
+
+
 def co_components(G: Graph) -> list[tuple[int, ...]]:
-    """Connected components of the complement graph."""
-    return connected_components(complement(G))
+    """Connected components of the complement graph, as sorted id tuples
+    ordered by smallest member; the complement is never built."""
+    co_masks = [~m for m in G.adj_masks]
+    parts = mask_components(co_masks, (1 << G.n) - 1)
+    return [tuple(iter_bits(c)) for c in parts]
 
 
 def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]:

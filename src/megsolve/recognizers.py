@@ -6,6 +6,13 @@ into disjoint unions, joins and spiders), bipartite permutation
 (strong-ordering search), and strongly chordal (simple-vertex
 elimination). Each positive answer except P4-sparse carries a certificate
 that an independent verifier in this module can recheck.
+
+The two eliminations keep per-vertex state that each removal updates
+over the removed vertex's adjacency list instead of rebuilding alive
+neighborhoods at every step: the pruning keeps alive open neighborhoods,
+the pendant set and an ascending twin index (``_Pruning``); the
+simple-vertex elimination keeps alive closed neighborhoods and their
+sizes, and skips vertices whose non-simplicity witness is intact.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
-from .graph_core import Graph, bfs_distances, iter_bits
+from .graph_core import Graph, bfs_distances, iter_bits, mask_components
 
 DEFAULT_BP_EXHAUSTIVE_LIMIT = 10
 SPIDER_FALLBACK_LIMIT = 12
@@ -57,54 +64,151 @@ def recognize_distance_hereditary(G: Graph) -> PruneSequence | None:
     Hammer and Maffray 1990).
 
     Each step removes the lowest-id pendant vertex if there is one, else
-    the first twin of an ascending scan. Pendants are degree-counted: the
-    alive degree of every vertex is decremented when a neighbor goes, so
-    the pendant set (alive degree exactly 1) is kept as a bitmask and the
-    pendant step reads its lowest bit instead of rescanning the graph.
+    the first twin of an ascending scan. ``_Pruning`` keeps the state that
+    finds both, updated once per removal.
     """
-    masks = G.adj_masks
-    alive = (1 << G.n) - 1
-    degree = [m.bit_count() for m in masks]
-    pendant = 0
-    for v, d in enumerate(degree):
-        if d == 1:
-            pendant |= 1 << v
+    state = _Pruning(G)
     steps: list[PruneStep] = []
     for _ in range(G.n - 1):
-        if pendant:
-            v = (pendant & -pendant).bit_length() - 1
-            step = PruneStep(v, "pendant", (masks[v] & alive).bit_length() - 1)
-        else:
-            step = _first_twin(masks, alive)
-            if step is None:
-                return None
+        step = state.next_step()
+        if step is None:
+            return None
         steps.append(step)
-        v = step.vertex
-        alive &= ~(1 << v)
-        pendant &= ~(1 << v)
-        for u in iter_bits(masks[v] & alive):
-            degree[u] -= 1
-            if degree[u] == 1:
-                pendant |= 1 << u
-            elif degree[u] == 0:
-                pendant &= ~(1 << u)
-    return PruneSequence(tuple(steps), alive.bit_length() - 1)
+        state.remove(step.vertex)
+    final = next((v for v, m in enumerate(state.nb) if m is not None), -1)
+    return PruneSequence(tuple(steps), final)
 
 
-def _first_twin(masks: tuple[int, ...], alive: int) -> PruneStep | None:
-    """First vertex of an ascending scan that twins an earlier one."""
-    open_seen: dict[int, int] = {}
-    closed_seen: dict[int, int] = {}
-    for v in iter_bits(alive):
-        nb = masks[v] & alive
-        cl = nb | (1 << v)
-        if cl in closed_seen:
-            return PruneStep(v, "true_twin", closed_seen[cl])
-        if nb in open_seen:
-            return PruneStep(v, "false_twin", open_seen[nb])
-        closed_seen[cl] = v
-        open_seen[nb] = v
-    return None
+class _Pruning:
+    """Alive open neighborhoods of a graph losing vertices, with the
+    pendant set and an ascending twin index.
+
+    ``nb[u]`` is the alive open neighborhood of u (None once u is removed)
+    and ``pendant`` the mask of alive vertices with exactly one alive
+    neighbor; removing v updates both over ``G.adj[v]``.
+
+    The twin index files alive vertices below ``frontier``, which only
+    moves up: ``closed`` and ``open`` map a closed or open neighborhood to
+    the mask of the vertices filed under it. A removal never separates
+    surviving twins, so a new twin pair always involves a vertex whose
+    neighborhood changed: removing v marks its filed neighbors ``stale``,
+    and ``_first_twin`` re-files stale vertices in ascending order, only
+    as far as its answer. ``twinned`` holds every filed vertex that has a
+    lower member in one of its groups, and possibly others, which
+    ``_first_twin`` drops when it meets them. Vertices at or above the
+    frontier are filed only when no filed vertex has a twin, so a graph
+    with an early twin never pays for indexing the rest.
+
+    Nothing is unfiled, yet an old entry never answers a query, because
+    queries look up current neighborhoods and take the lowest entry
+    below the candidate. A re-filed vertex's old neighborhood holds a
+    removed vertex, and so does a removed vertex's closed neighborhood,
+    so no alive vertex has either. If an alive x has the open
+    neighborhood N(w) of a removed w at a twin query, x is no pendant
+    (pendants go first), so neither was w; nor was w a true twin of some
+    u, since u in N(w) = N(x) would put x in N[u] = N[w]. So w went as a
+    false twin of a lower u with N(u) = N(w), and u is still filed
+    under it (or went the same way in turn).
+    """
+
+    def __init__(self, G: Graph):
+        self.adj = G.adj
+        self.nb: list[int | None] = list(G.adj_masks)
+        self.pendant = 0
+        for v, m in enumerate(G.adj_masks):
+            if m and not m & (m - 1):
+                self.pendant |= 1 << v
+        self.closed: dict[int, int] = {}
+        self.open: dict[int, int] = {}
+        self.twinned = 0
+        self.stale = 0
+        self.frontier = 0
+
+    def next_step(self) -> PruneStep | None:
+        """The lowest pendant vertex, else the first twin, else None."""
+        if self.pendant:
+            v = (self.pendant & -self.pendant).bit_length() - 1
+            return PruneStep(v, "pendant", self.nb[v].bit_length() - 1)
+        return self._first_twin()
+
+    def remove(self, v: int) -> None:
+        nb = self.nb
+        bit = 1 << v
+        self.stale = (self.stale & ~bit) | (nb[v] & ((1 << self.frontier) - 1))
+        nb[v] = None
+        pendant = self.pendant & ~bit
+        for u in self.adj[v]:
+            m = nb[u]
+            if m is not None:
+                m = nb[u] = m ^ bit
+                if not m & (m - 1):  # one alive neighbor left, or none
+                    if m:
+                        pendant |= 1 << u
+                    else:
+                        pendant &= ~(1 << u)
+        self.pendant = pendant
+
+    def _refile(self, u: int) -> None:
+        """File the stale vertex u under its current neighborhoods."""
+        bit = 1 << u
+        nb_u = self.nb[u]
+        twinned = self.twinned & ~bit
+        for groups, key in ((self.closed, nb_u | bit), (self.open, nb_u)):
+            group = groups.get(key, 0)
+            groups[key] = group | bit
+            if group:
+                low = group & -group
+                # u has a lower member, or the old lowest member now has u
+                twinned |= bit if low < bit else low
+        self.twinned = twinned
+        self.stale ^= bit
+
+    def _first_twin(self) -> PruneStep | None:
+        """The lowest alive vertex with a lower twin, paired with the
+        lowest such twin (true twins first), or None if there is none.
+
+        A candidate is checked only once every stale vertex below it is
+        re-filed, so that every vertex below it is filed under its
+        current neighborhoods.
+        """
+        nb = self.nb
+        while True:
+            while self.twinned | self.stale:
+                todo = self.twinned | self.stale
+                bit = todo & -todo
+                v = bit.bit_length() - 1
+                if self.stale & bit:
+                    self._refile(v)
+                    continue
+                if nb[v] is not None:
+                    group = self.closed[nb[v] | bit] & (bit - 1)
+                    if group:
+                        w = (group & -group).bit_length() - 1
+                        return PruneStep(v, "true_twin", w)
+                    group = self.open[nb[v]] & (bit - 1)
+                    if group:
+                        w = (group & -group).bit_length() - 1
+                        return PruneStep(v, "false_twin", w)
+                self.twinned ^= bit
+            # File the next alive vertices until one has a lower member:
+            # each is above every filed vertex, so that happens iff one of
+            # its groups is occupied.
+            closed, opn = self.closed, self.open
+            for v in range(self.frontier, len(nb)):
+                nb_v = nb[v]
+                if nb_v is not None:
+                    bit = 1 << v
+                    group = closed.get(nb_v | bit, 0)
+                    closed[nb_v | bit] = group | bit
+                    other = opn.get(nb_v, 0)
+                    opn[nb_v] = other | bit
+                    if group | other:
+                        self.frontier = v + 1
+                        self.twinned = bit
+                        break
+            else:
+                self.frontier = len(nb)
+                return None
 
 
 def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
@@ -138,23 +242,6 @@ def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
 # P4-sparse
 
 
-def _components(masks: tuple[int, ...], X: int) -> list[int]:
-    """Components of the subgraph induced by X as vertex masks. Given the
-    complemented masks (``~m``), it returns the co-components instead."""
-    parts = []
-    while X:
-        comp = frontier = X & -X
-        while frontier:
-            reach = 0
-            for v in iter_bits(frontier):
-                reach |= masks[v]
-            frontier = reach & X & ~comp
-            comp |= frontier
-        parts.append(comp)
-        X &= ~comp
-    return parts
-
-
 def recognize_p4_sparse(G: Graph) -> bool:
     """True iff every five vertices induce at most one P4.
 
@@ -172,9 +259,9 @@ def recognize_p4_sparse(G: Graph) -> bool:
         X = stack.pop()
         if X & (X - 1) == 0:
             continue
-        parts = _components(masks, X)
+        parts = mask_components(masks, X)
         if len(parts) == 1:
-            parts = _components(co_masks, X)
+            parts = mask_components(co_masks, X)
         if len(parts) > 1:
             stack.extend(parts)
             continue
@@ -425,8 +512,10 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
     """Full certificate check, linear in the size of G.
 
     Raises ValueError when the two orders are not a bipartition of G, or
-    when ``first`` lists an isolated vertex; returns False when any
-    ordering property fails.
+    when the ``first``/``last`` maps are malformed: an isolated vertex
+    listed in ``first``, a vertex with a ``first`` but no ``last`` entry,
+    or an entry naming a vertex outside the opposite side. Returns False
+    when any ordering property fails.
 
     Following Spinrad, Brandstaedt and Stewart ("Bipartite permutation
     graphs", DAM 1987), the orders pass iff every neighborhood is
@@ -477,6 +566,12 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
                 if G.adj[v]:
                     return False
                 continue
+            if v not in so.last:
+                raise ValueError(
+                    f"vertex {v} has a first neighbor but no last")
+            if so.first[v] not in pos or so.last[v] not in pos:
+                raise ValueError(f"first/last neighbor of vertex {v} is not "
+                                 "on the other side")
             recorded = pos[so.first[v]], pos[so.last[v]]
             if not G.adj[v]:
                 raise ValueError(f"isolated vertex {v} has a first neighbor")
@@ -575,37 +670,50 @@ class SEO:
 
 def _simple_chain(masks: tuple[int, ...], alive: int,
                   v: int) -> tuple[tuple[int, ...] | None, int]:
-    """Inclusion chain over N[v] in the alive-induced subgraph, or a witness.
+    """Inclusion chain over N[v] in the alive-induced subgraph, or a witness
+    that v is not simple (see ``_chain_or_witness``)."""
+    shift = len(masks).bit_length()
+    cm = {}
+    ranked = []
+    for u in iter_bits((masks[v] | (1 << v)) & alive):
+        cm[u] = closed = (masks[u] | (1 << u)) & alive
+        ranked.append(closed.bit_count() << shift | u)
+    return _chain_or_witness(cm, ranked, shift)
 
-    Total order by inclusion is checked by sorting on popcount (then id):
-    equal-size distinct sets are incomparable and fail the consecutive
-    subset test, and in a chain equal sizes mean equal sets, so the chain
-    comes out ordered by size and then id. Returns ``(chain, 0)`` when v
-    is simple. Otherwise returns ``(None, witness)``, a mask of four
-    vertices {x, y, a, b} (not necessarily distinct): x and y consecutive
-    in the sorted list, a in N[x] minus N[y] and b in N[y] minus N[x].
-    While all four stay alive, v stays non-simple. The witness comes from
-    the largest-neighborhood end with the highest-id a and b, because
-    elimination removes low ids first.
+
+def _chain_or_witness(cm, ranked: list[int],
+                      shift: int) -> tuple[tuple[int, ...] | None, int]:
+    """Inclusion chain over N[v], or a witness that v is not simple.
+
+    ``cm[u]`` is the closed neighborhood N[u] and ``ranked`` holds
+    ``|N[u]| << shift | u`` for every u in N[v], all in the alive-induced
+    subgraph (``1 << shift`` exceeds every id); ``ranked`` is sorted in
+    place, that is, by size and then id. Total order by inclusion is
+    checked on that order: equal-size distinct sets are incomparable and
+    fail the consecutive subset test, and in a chain equal sizes mean
+    equal sets, so the chain comes out ordered by size and then id.
+    Returns ``(chain, 0)`` when v is simple. Otherwise returns
+    ``(None, witness)``, a mask of four vertices {x, y, a, b} (not
+    necessarily distinct): x and y consecutive in the sorted list, a in
+    N[x] minus N[y] and b in N[y] minus N[x]. While all four stay alive,
+    v stays non-simple. The witness comes from the largest-neighborhood
+    end with the highest-id a and b, because elimination removes low ids
+    first.
     """
-    closed = []
-    members = (masks[v] | (1 << v)) & alive
-    while members:
-        low = members & -members
-        u = low.bit_length() - 1
-        cm = (masks[u] | low) & alive
-        closed.append((cm.bit_count(), u, cm))
-        members ^= low
-    closed.sort()
-    for i in range(len(closed) - 1, 0, -1):
-        _, x, cm_x = closed[i - 1]
-        _, y, cm_y = closed[i]
+    ranked.sort()
+    ids = (1 << shift) - 1
+    y = ranked[-1] & ids
+    cm_y = cm[y]
+    for i in range(len(ranked) - 2, -1, -1):
+        x = ranked[i] & ids
+        cm_x = cm[x]
         only_x = cm_x & ~cm_y
         if only_x:
             a = only_x.bit_length() - 1
             b = (cm_y & ~cm_x).bit_length() - 1
             return None, (1 << x) | (1 << y) | (1 << a) | (1 << b)
-    return tuple(u for _, u, _ in closed), 0
+        y, cm_y = x, cm_x
+    return tuple([r & ids for r in ranked]), 0
 
 
 def is_simple(G: Graph, v: int) -> tuple[bool, tuple[int, ...] | None]:
@@ -623,13 +731,21 @@ def recognize_strongly_chordal(G: Graph) -> SEO | None:
     member has a simple vertex (Farber 1983), so any greedy choice leaves
     the invariant intact: a simple vertex stays simple after deletions.
 
-    Each step eliminates the lowest-id simple vertex. A vertex that tests
-    non-simple keeps the four-vertex witness of ``_simple_chain`` and is
-    skipped by later scans until one of those four vertices is eliminated;
-    only then is it retested. The order and chains are those of testing
-    every alive vertex at every step.
+    Each step eliminates the lowest-id simple vertex. The alive closed
+    neighborhood ``cm[u]`` of every vertex and its size, kept in
+    ``rank[u]`` as the sort key of ``_chain_or_witness``, are updated
+    over ``G.adj[v]`` when v is eliminated, so a simple test only sorts
+    cached keys and compares cached masks. A vertex that tests non-simple
+    keeps the four-vertex witness of ``_chain_or_witness`` and is skipped
+    by later scans until one of those four vertices is eliminated; only
+    then is it retested. The order and chains are those of testing every
+    alive vertex at every step.
     """
-    masks = G.adj_masks
+    shift = G.n.bit_length()
+    cm = [m | (1 << u) for u, m in enumerate(G.adj_masks)]
+    # |N[u]| << shift | u while u is alive, 0 once it is eliminated
+    rank = [(len(nbrs) + 1) << shift | u for u, nbrs in enumerate(G.adj)]
+    one = 1 << shift
     alive = (1 << G.n) - 1
     blocked = 0  # tested non-simple, witness intact
     witness = [0] * G.n
@@ -641,7 +757,9 @@ def recognize_strongly_chordal(G: Graph) -> SEO | None:
         todo = alive & ~blocked
         while todo:
             v = (todo & -todo).bit_length() - 1
-            chain, wit = _simple_chain(masks, alive, v)
+            ranked = [r for u in G.adj[v] if (r := rank[u])]
+            ranked.append(rank[v])
+            chain, wit = _chain_or_witness(cm, ranked, shift)
             if chain is not None:
                 break
             witness[v] = wit
@@ -653,7 +771,13 @@ def recognize_strongly_chordal(G: Graph) -> SEO | None:
             return None
         order.append(v)
         chains.append(chain)
-        alive &= ~(1 << v)
+        bit = 1 << v
+        alive ^= bit
+        rank[v] = 0
+        for u in G.adj[v]:
+            if rank[u]:
+                cm[u] ^= bit
+                rank[u] -= one
         for u in watchers[v]:
             if witness[u] >> v & 1:
                 blocked &= ~(1 << u)

@@ -438,13 +438,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def rescan_distance_hereditary(G: Graph) -> PruneSequence | None:
+def rescan_prune_steps(G: Graph):
     """Reference pruning that rescans every alive vertex at every step:
-    the lowest-id pendant vertex, else the first twin of an ascending scan.
-    The package's recognizer must return the identical sequence."""
+    yields the lowest-id pendant vertex, else the first twin of an
+    ascending scan, until one vertex is left or no step exists."""
     masks = G.adj_masks
     alive = (1 << G.n) - 1
-    steps: list[PruneStep] = []
     remaining = G.n
     while remaining > 1:
         step = None
@@ -468,11 +467,23 @@ def rescan_distance_hereditary(G: Graph) -> PruneSequence | None:
                 closed_seen[cl] = v
                 open_seen[nb] = v
         if step is None:
-            return None
-        steps.append(step)
+            return
+        yield step
         alive &= ~(1 << step.vertex)
         remaining -= 1
-    return PruneSequence(tuple(steps), alive.bit_length() - 1)
+
+
+def rescan_distance_hereditary(G: Graph) -> PruneSequence | None:
+    """The steps of ``rescan_prune_steps`` as a sequence, or None when they
+    stop early. The package's recognizer must return the identical
+    sequence."""
+    steps = tuple(rescan_prune_steps(G))
+    if len(steps) < G.n - 1:
+        return None
+    alive = (1 << G.n) - 1
+    for step in steps:
+        alive &= ~(1 << step.vertex)
+    return PruneSequence(steps, alive.bit_length() - 1)
 
 
 def _rescan_chain(masks, alive: int, v: int) -> tuple[int, ...] | None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -155,6 +156,21 @@ def test_complement_and_co_components():
     K = complete_graph(3)
     assert co_components(K) == [(0,), (1,), (2,)]
     assert co_components(path_graph(4)) == [(0, 1, 2, 3)]
+
+
+def test_co_components_match_components_of_complement():
+    rng = random.Random(1990)
+    joins = 0
+    for _ in range(500):
+        n = rng.randrange(0, 13)
+        p = rng.random()
+        G = Graph([f"v{i}" for i in range(n)],
+                  [e for e in itertools.combinations(range(n), 2)
+                   if rng.random() < p])
+        expected = connected_components(complement(G))
+        assert co_components(G) == expected
+        joins += len(expected) > 1
+    assert 100 < joins < 400  # both shapes well represented
 
 
 def test_parse_edge_list_basics():

@@ -20,7 +20,7 @@ from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
                       strong_ordering_from_orders, verify_prune_sequence,
                       verify_seo, verify_spider_partition,
                       verify_strong_ordering)
-from megsolve.recognizers import _simple_chain, _spider_masks
+from megsolve.recognizers import _Pruning, _simple_chain, _spider_masks
 
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
@@ -28,7 +28,8 @@ from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          complete_bipartite, complete_graph, cycle_graph,
                          exhaustive_spider, path_graph,
                          quadratic_strong_ordering, random_connected_graph,
-                         rescan_distance_hereditary, rescan_strongly_chordal,
+                         rescan_distance_hereditary, rescan_prune_steps,
+                         rescan_strongly_chordal,
                          scan_p4_sparse, star_graph, with_universal)
 
 
@@ -471,8 +472,13 @@ def _outcome(check, G, so):
 
 
 def _agree(G, so):
+    """Same verdict as the quadratic reference, except that a malformed
+    first/last map, where the reference fails a lookup with KeyError,
+    raises ValueError."""
     fast = _outcome(verify_strong_ordering, G, so)
-    assert fast == _outcome(quadratic_strong_ordering, G, so), (
+    slow = _outcome(quadratic_strong_ordering, G, so)
+    assert fast is not KeyError, (sorted(G.edges()), so)
+    assert fast == (ValueError if slow is KeyError else slow), (
         sorted(G.edges()), so)
     return fast
 
@@ -546,7 +552,8 @@ def test_strong_ordering_matches_quadratic_on_bad_certificates():
     for _ in range(3000):
         G, so = _random_bipartite(rng)
         verdicts[_agree(G, _tamper(G, so, rng))] += 1
-    assert all(verdicts[v] >= 100 for v in (True, False, KeyError, ValueError))
+    assert all(verdicts[v] >= 100 for v in (True, False, ValueError))
+    assert verdicts[ValueError] >= 500  # the reference's KeyError cases too
 
 
 def test_strong_ordering_certificate_faults():
@@ -557,6 +564,12 @@ def test_strong_ordering_certificate_faults():
     assert _agree(G, wrong_first) is False
     wrong_last = dataclasses.replace(so, last={**so.last, 4: 0})
     assert _agree(G, wrong_last) is False
+    # an entry off the opposite side, or a first without a last
+    same_side = dataclasses.replace(so, first={**so.first, 0: 1})
+    assert _agree(G, same_side) is ValueError
+    no_last = dataclasses.replace(
+        so, last={v: w for v, w in so.last.items() if v != 0})
+    assert _agree(G, no_last) is ValueError
     # an isolated vertex may not carry a first/last neighbor
     G = _bipartite(2, 3, [(0, 2), (0, 3), (1, 3)])
     so = strong_ordering_from_orders(G, (0, 1), (2, 3, 4))
@@ -657,6 +670,20 @@ def test_sc_greedy_matches_backtracking_random():
 # incremental recognizers against the rescanning references
 
 
+def prune_steps(G):
+    """The recognizer's pruning steps up to where they stop, so that a
+    non-member shows the steps taken before it gets stuck."""
+    state = _Pruning(G)
+    steps = []
+    while len(steps) < G.n - 1:
+        step = state.next_step()
+        if step is None:
+            break
+        steps.append(step)
+        state.remove(step.vertex)
+    return steps
+
+
 def assert_same_as_rescan(G):
     seo = recognize_strongly_chordal(G)
     assert seo == rescan_strongly_chordal(G)
@@ -666,6 +693,7 @@ def assert_same_as_rescan(G):
     assert seq == rescan_distance_hereditary(G)
     if seq is not None:
         assert verify_prune_sequence(G, seq)
+    assert prune_steps(G) == list(rescan_prune_steps(G))
     return seo is not None, seq is not None
 
 
@@ -703,6 +731,38 @@ def test_incremental_matches_rescan_generated():
     verdicts = [assert_same_as_rescan(G) for G in generated_instances()]
     assert {sc for sc, _ in verdicts} == {True, False}
     assert {dh for _, dh in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_distance_hereditary(1000, 1),
+    lambda: gen_p4_sparse(1000, 1),
+    lambda: gen_bipartite_permutation(500, 500, 1),
+    lambda: gen_strongly_chordal(1000, 1, "interval"),
+    lambda: gen_strongly_chordal(1000, 1, "block"),
+    lambda: gen_random_connected(1000, 2000, 1),
+    lambda: spider_graph(498, "thin", head=4),
+    lambda: spider_graph(498, "thick", head=4),
+], ids=["dh", "p4sparse", "bipperm", "sc-interval", "sc-block", "random",
+        "spider-thin", "spider-thick"])
+def test_incremental_matches_rescan_at_n1000(make):
+    G = make()
+    assert G.n == 1000
+    assert_same_as_rescan(G)
+
+
+def test_pruning_steps_on_dense_p4_sparse_negatives():
+    """Dense P4-sparse graphs are mostly not distance-hereditary, and
+    their twins come late in the ascending order: the twin index advances
+    its frontier far and re-files many stale vertices before the pruning
+    gets stuck, and every step up to there must be the rescan's."""
+    twin_steps = 0
+    for seed in range(1, 9):
+        G = gen_p4_sparse(200, seed)
+        steps = prune_steps(G)
+        assert steps == list(rescan_prune_steps(G))
+        assert len(steps) < G.n - 1
+        twin_steps += sum(step.kind != "pendant" for step in steps)
+    assert twin_steps >= 50
 
 
 def test_simple_chain_witness_survives_unrelated_deletions():
