@@ -2,6 +2,8 @@
 
 Reports are JSON with a top-level schema version and are byte-identical
 across runs for the same input and flags; timing is therefore opt-in.
+The argument parser is built on the first ``main`` call and reused for
+the rest of the process; each call still parses into a fresh namespace.
 Exit codes: 0 success, 2 input/parse problems, 3 connectivity or size
 preconditions, 4 forced-method mismatch, 5 hard size limits.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -251,6 +254,7 @@ def _require_connected(G: Graph, allow_single: bool = False) -> None:
         raise NotConnectedError("graph must be connected")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="megsolve",

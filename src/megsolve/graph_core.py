@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, SelfLoopError
@@ -26,36 +28,52 @@ def vertex_set(ids: Iterable[int]) -> tuple[int, ...]:
 
 
 class Graph:
-    """Simple undirected graph, immutable after construction."""
+    """Simple undirected graph, immutable after construction.
+
+    The constructor checks its arguments (distinct labels, in-range ids,
+    no self-loops) and then fills the fields through ``_fill``, the one
+    adjacency and mask builder; the edge-list reader and ``build_graph``
+    call ``_fill`` directly with ids they produced themselves.
+    """
 
     __slots__ = ("n", "m", "labels", "adj", "adj_masks",
                  "_label_ids", "_connected", "_articulation")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
-        labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
+        labels = tuple(map(str, labels))
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) != len(labels):
             raise ValueError("duplicate vertex labels")
         n = len(labels)
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+        us: list[int] = []
+        vs: list[int] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise SelfLoopError(labels[u])
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+            us.append(u)
+            vs.append(v)
+        self._fill(labels, index, us, vs)
+
+    def _fill(self, labels: tuple[str, ...], index: dict[str, int],
+              us: Sequence[int], vs: Sequence[int]) -> None:
+        """Set every field from checked input: distinct labels, ``index``
+        mapping each label to its position, and loop-free edges
+        ``(us[i], vs[i])`` given as in-range ids (duplicates allowed)."""
+        n = len(labels)
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        adj = tuple([tuple(sorted(set(x))) for x in nbrs])
+        bit = [1 << i for i in range(n)]
         self.labels = labels
         self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.m = sum(len(s) for s in neighbor_sets) // 2
-        masks = []
-        for s in neighbor_sets:
-            mask = 0
-            for w in s:
-                mask |= 1 << w
-            masks.append(mask)
-        self.adj_masks = tuple(masks)
-        self._label_ids = {lab: i for i, lab in enumerate(labels)}
+        self.adj = adj
+        self.m = sum(map(len, adj)) // 2
+        self.adj_masks = tuple([sum(map(bit.__getitem__, a)) for a in adj])
+        self._label_ids = index
         self._connected = None
         self._articulation = None
 
@@ -107,25 +125,25 @@ def build_graph(edges: Iterable[tuple[str, str]],
     registered first, which also allows isolated vertices. Duplicate edges
     collapse; self-loops are rejected.
     """
-    order: list[str] = []
-    index: dict[str, int] = {}
+    flat = [str(x) for a, b in edges for x in (a, b)]
+    return _graph_from_tokens(flat, map(str, vertices or ()))
 
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(order)
-            order.append(label)
-        return index[label]
 
-    if vertices is not None:
-        for lab in vertices:
-            intern(str(lab))
-    id_edges = []
-    for a, b in edges:
-        a, b = str(a), str(b)
-        if a == b:
-            raise SelfLoopError(a)
-        id_edges.append((intern(a), intern(b)))
-    return Graph(order, id_edges)
+def _graph_from_tokens(flat: list[str], declared: Iterable[str] | None) -> Graph:
+    """Graph from the flat label list ``a0, b0, a1, b1, ...`` of its edges.
+
+    Declared labels take the first ids, then labels in order of first
+    appearance in ``flat``; the label index built here becomes the graph's.
+    """
+    labels = tuple(dict.fromkeys(chain(declared or (), flat)))
+    index = dict(zip(labels, range(len(labels))))
+    ids = list(map(index.__getitem__, flat))
+    us, vs = ids[::2], ids[1::2]
+    if any(map(eq, us, vs)):
+        raise SelfLoopError(labels[next(u for u, v in zip(us, vs) if u == v)])
+    G = Graph.__new__(Graph)
+    G._fill(labels, index, us, vs)
+    return G
 
 
 def bfs_distances(G: Graph, source: int,
@@ -311,17 +329,22 @@ def co_components(G: Graph) -> list[tuple[int, ...]]:
     return [tuple(iter_bits(c)) for c in parts]
 
 
-def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]:
-    """Parse edge-list text into (edge label pairs, declared vertices).
+# A first token with one of these prefixes makes a line a comment or the
+# vertex header, even when the line holds exactly two tokens.
+_NOT_EDGE = ("#", "vertices:")
 
-    Lines starting with '#' and blank lines are ignored. One optional
-    ``vertices:`` header declares labels (allowing isolated vertices);
-    every other line must hold exactly two whitespace-separated labels.
-    """
-    edges: list[tuple[str, str]] = []
+
+def _scan(text: str) -> tuple[list[str], list[str] | None]:
+    """One pass over edge-list text: the flat edge labels ``a0, b0, a1, b1,
+    ...`` and the declared vertices (``None`` without a header)."""
+    lines = text.splitlines()
+    flat: list[str] = []
     declared: list[str] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for line_no, parts in enumerate(map(str.split, lines), start=1):
+        if len(parts) == 2 and not parts[0].startswith(_NOT_EDGE):
+            flat += parts
+            continue
+        line = lines[line_no - 1].strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("vertices:"):
@@ -329,17 +352,30 @@ def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]
                 raise EdgeListParseError(line_no, "duplicate vertices header")
             declared = line[len("vertices:"):].split()
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(
-                line_no, f"expected two labels, got {len(parts)}: {line!r}")
-        edges.append((parts[0], parts[1]))
-    return edges, declared
+        raise EdgeListParseError(
+            line_no, f"expected two labels, got {len(parts)}: {line!r}")
+    return flat, declared
+
+
+def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]:
+    """Parse edge-list text into (edge label pairs, declared vertices).
+
+    Lines starting with '#' and blank lines are ignored. One optional
+    ``vertices:`` header declares labels (allowing isolated vertices);
+    every other line must hold exactly two whitespace-separated labels.
+    Malformed lines raise ``EdgeListParseError`` with their 1-based line
+    number; self-loops are left to the graph builder.
+    """
+    flat, declared = _scan(text)
+    return list(zip(flat[::2], flat[1::2])), declared
 
 
 def graph_from_edge_list(text: str) -> Graph:
-    edges, declared = parse_edge_list(text)
-    return build_graph(edges, vertices=declared)
+    """Read edge-list text into a graph in one pass, as ``parse_edge_list``
+    followed by ``build_graph`` would: declared labels take the first ids
+    wherever the header sits, then labels in order of first appearance.
+    Every malformed line raises before any self-loop does."""
+    return _graph_from_tokens(*_scan(text))
 
 
 def read_graph_file(path: str) -> Graph:
@@ -351,8 +387,14 @@ def format_edge_list(G: Graph, header_comments: Iterable[str] = ()) -> str:
     """Serialize a graph; exact inverse of graph_from_edge_list.
 
     The vertex header pins the label-to-id assignment, so parsing the
-    output reproduces ids, isolated vertices and all.
+    output reproduces ids, isolated vertices and all. A label that would
+    not read back as one edge token (empty, holding whitespace, or
+    starting with '#' or ``vertices:``) raises ``ValueError``.
     """
+    bad = next((lab for lab in G.labels
+                if lab.split() != [lab] or lab.startswith(_NOT_EDGE)), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} cannot be written to an edge list")
     lines = [f"# {c}" for c in header_comments]
     if G.n:
         lines.append("vertices: " + " ".join(G.labels))

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from megsolve import (SEO, Graph, PruneSequence, PruneStep, SpiderPartition,
-                      StrongOrdering, build_graph, verify_spider_partition)
+from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
+                      SelfLoopError, SpiderPartition, StrongOrdering,
+                      build_graph, verify_spider_partition)
 
 
 def path_graph(k: int) -> Graph:
@@ -515,3 +516,75 @@ def rescan_strongly_chordal(G: Graph) -> SEO | None:
         else:
             return None
     return SEO(tuple(order), tuple(chains))
+
+
+def two_stage_parse_edge_list(text: str):
+    """Reference reader, first stage: the line-by-line parser that the
+    one-pass reader replaced. Returns (edge label pairs, declared
+    vertices) or raises ``EdgeListParseError``."""
+    edges: list[tuple[str, str]] = []
+    declared: list[str] | None = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("vertices:"):
+            if declared is not None:
+                raise EdgeListParseError(line_no, "duplicate vertices header")
+            declared = line[len("vertices:"):].split()
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                line_no, f"expected two labels, got {len(parts)}: {line!r}")
+        edges.append((parts[0], parts[1]))
+    return edges, declared
+
+
+def two_stage_build(edges, vertices=None):
+    """Reference reader, second stage: label interning by a closure, then
+    per-edge id validation and bit-by-bit masks. Returns the fields a
+    ``Graph`` holds as (labels, adj, adj_masks, m, label index)."""
+    order: list[str] = []
+    index: dict[str, int] = {}
+
+    def intern(label: str) -> int:
+        if label not in index:
+            index[label] = len(order)
+            order.append(label)
+        return index[label]
+
+    if vertices is not None:
+        for lab in vertices:
+            intern(str(lab))
+    id_edges = []
+    for a, b in edges:
+        a, b = str(a), str(b)
+        if a == b:
+            raise SelfLoopError(a)
+        id_edges.append((intern(a), intern(b)))
+    labels = tuple(str(x) for x in order)
+    n = len(labels)
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in id_edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(labels[u])
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    masks = []
+    for nb in neighbor_sets:
+        mask = 0
+        for w in nb:
+            mask |= 1 << w
+        masks.append(mask)
+    return (labels, tuple(tuple(sorted(nb)) for nb in neighbor_sets),
+            tuple(masks), sum(len(nb) for nb in neighbor_sets) // 2,
+            {lab: i for i, lab in enumerate(labels)})
+
+
+def two_stage_read(text: str):
+    """``two_stage_build`` over ``two_stage_parse_edge_list``."""
+    edges, declared = two_stage_parse_edge_list(text)
+    return two_stage_build(edges, vertices=declared)

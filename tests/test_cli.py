@@ -328,6 +328,44 @@ def test_unmapped_exceptions_propagate(tmp_path, capsys, monkeypatch):
         main(["meg", write(tmp_path, "c4.edges", C4)])
 
 
+GEM = "a b\nb c\nc d\na e\nb e\nc e\nd e\n"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    gem = write(tmp_path, "gem.edges", GEM)
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def first_in_process(argv):
+        cli._build_parser.cache_clear()
+        return call(argv)
+
+    pairs = [
+        (["recognize", "--certificate", gem], ["recognize", gem]),
+        (["oracle", "--no-trust-bounds", gem], ["oracle", gem]),
+        (["meg", "--method", "cut", gem], ["meg", gem]),
+        (["meg", "--no-such-flag", gem], ["meg", gem]),
+    ]
+    expected = [(first_in_process(a), first_in_process(b)) for a, b in pairs]
+    cli._build_parser.cache_clear()
+    got = [(call(a), call(b)) for a, b in pairs]
+    assert got == expected
+
+    (_, (rc, rec, _)), (_, (_, orc, _)), (meg_cut, meg), (bad, after) = got
+    assert rc == 0 and "certificates" not in json.loads(rec)["result"]
+    assert json.loads(orc)["result"]["trustedBounds"] is True
+    assert meg_cut[0] == 4 and meg[0] == 0
+    assert json.loads(meg[1])["result"]["method"] == "mandatory_based"
+    assert bad[0] == ("SystemExit", 2) and after == meg
+
+
 def test_decomposition_on_a_long_path(tmp_path, capsys):
     text = "".join(f"v{i} v{i + 1}\n" for i in range(299))
     limit = sys.getrecursionlimit()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,17 @@ from megsolve import (EdgeListParseError, Graph, INF, SelfLoopError,
                       all_pairs_distances, articulation_points, bfs_distances,
                       build_graph, co_components, complement,
                       connected_components, format_edge_list,
-                      graph_from_edge_list, induced_subgraph, is_connected,
-                      parse_edge_list, vertex_set)
+                      gen_bipartite_permutation, gen_distance_hereditary,
+                      gen_p4_sparse, gen_random_connected,
+                      gen_strongly_chordal, graph_from_edge_list,
+                      induced_subgraph, is_connected, parse_edge_list,
+                      spider_graph, vertex_set)
 from megsolve.graph_core import iter_bits
 
 from graphs_util import (all_connected_graphs, brute_articulation,
                          complete_graph, cycle_graph, path_graph,
-                         random_connected_graph, star_graph)
+                         random_connected_graph, star_graph, two_stage_build,
+                         two_stage_parse_edge_list, two_stage_read)
 
 
 def test_build_graph_first_appearance_ids():
@@ -224,6 +229,134 @@ def test_format_edgeless_graph():
     text = format_edge_list(G)
     assert text == "vertices: only\n"
     assert graph_from_edge_list(text) == G
+
+
+@pytest.mark.parametrize("bad", ["#x", "", "a b", "vertices:a"],
+                         ids=["comment", "empty", "whitespace", "header"])
+def test_format_refuses_labels_that_do_not_read_back(bad):
+    G = build_graph([(bad, "y")])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        format_edge_list(G)
+
+
+def test_format_names_the_first_unwritable_label():
+    G = Graph(["ok", "a\tb", "vertices:", "x\u2028y", "#"],
+              [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=re.escape(repr("a\tb"))):
+        format_edge_list(G)
+    G = build_graph([("y", "x#"), ("x#", "v:z")],
+                    vertices=["y", "x#", "v:z", "z:vertices"])
+    assert graph_from_edge_list(format_edge_list(G)) == G
+
+
+def _read_outcome(text):
+    try:
+        G = graph_from_edge_list(text)
+    except (EdgeListParseError, SelfLoopError) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return (G.labels, G.adj, G.adj_masks, G.m, list(G._label_ids.items()))
+
+
+def _two_stage_outcome(text):
+    try:
+        labels, adj, masks, m, index = two_stage_read(text)
+    except (EdgeListParseError, SelfLoopError) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return labels, adj, masks, m, list(index.items())
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except EdgeListParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def assert_reads_like_two_stage(text):
+    expected = _two_stage_outcome(text)
+    assert _read_outcome(text) == expected, repr(text)
+    assert _parse_outcome(parse_edge_list, text) == \
+        _parse_outcome(two_stage_parse_edge_list, text), repr(text)
+    return expected
+
+
+READER_CASES = [
+    "", "\n", "   ", "# only a comment", "#a b\na b\n", "a b\n  #c d  \n",
+    "a b\n\n   \n\t\n\xa0\n\u3000\nb c\n", "a\xa0b\na\u3000c\n",
+    "a b\r\nb c\r\n", "a b\rb c\r", "a b\x0bb c\x0cc d\x1cd e\u2028e a",
+    "vertices: z y\na b\n", "a b\nvertices: z y\nb c\n",
+    "a b\nb c\nvertices: c z\n", "vertices: a\nvertices: b\n",
+    "vertices:a b\nb c\n", "vertices:\na b\n", "  vertices: q\n",
+    "vertices: a a b\nb a\n", "a b\nb a\na b\n", "a\n", "a b c\n",
+    "a b # note\n", "a b\n x \n", "a a\nb\n", "b\na a\n", "a b\nc c\n",
+    "x vertices:\n", "x #y\n", "vertices:x y\nx y\n",
+]
+
+
+@pytest.mark.parametrize("text", READER_CASES)
+def test_reader_matches_two_stage_reference_on_cases(text):
+    assert_reads_like_two_stage(text)
+
+
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028")
+_GAPS = (" ", "  ", "\t", "\xa0", "\u3000", " \t ")
+_POOL = ("a", "b", "c", "d", "v1", "v2", "x#", "#a", "vertices:x")
+
+
+def _fuzz_line(rng):
+    gap = lambda: rng.choice(_GAPS)  # noqa: E731
+    pad = lambda: rng.choice(("", "", gap()))  # noqa: E731
+    kind = rng.random()
+    if kind < 0.6:
+        return pad() + rng.choice(_POOL[:6]) + gap() + rng.choice(_POOL) + pad()
+    if kind < 0.7:
+        return pad() + rng.choice(("# note", "#a b", "#", "# a b c"))
+    if kind < 0.8:
+        return rng.choice(("", "", " ", "\t", "\xa0", "\u3000"))
+    if kind < 0.86:
+        labels = gap().join(rng.sample(_POOL, rng.randrange(0, 4)))
+        return pad() + rng.choice(("vertices:", "vertices: ")) + labels
+    if kind < 0.9:
+        return pad() + gap().join(rng.choices(_POOL, k=rng.choice((1, 3))))
+    return pad() + rng.choice(("e", "f")) + gap() + rng.choice(("a", "g"))
+
+
+def test_reader_matches_two_stage_reference_fuzz():
+    rng = random.Random(20261017)
+    kinds = {"ok": 0, EdgeListParseError: 0, SelfLoopError: 0}
+    for _ in range(3000):
+        lines = [_fuzz_line(rng) for _ in range(rng.randrange(0, 12))]
+        text = "".join(line + rng.choice(_BREAKS) for line in lines)
+        if lines and rng.random() < 0.3:
+            text = text[:-1]
+        expected = assert_reads_like_two_stage(text)
+        kinds[expected[0] if expected[0] in kinds else "ok"] += 1
+    assert min(kinds.values()) > 300, kinds
+
+
+FAMILIES = {
+    "dh": lambda n: gen_distance_hereditary(n, 3),
+    "p4sparse": lambda n: gen_p4_sparse(n, 3),
+    "bipperm": lambda n: gen_bipartite_permutation(n // 2, n - n // 2, 3),
+    "sc-interval": lambda n: gen_strongly_chordal(n, 3),
+    "sc-block": lambda n: gen_strongly_chordal(n, 3, style="block"),
+    "random": lambda n: gen_random_connected(n, 2 * n, 3),
+    "spider": lambda n: spider_graph(n // 3, head=n - 2 * (n // 3)),
+}
+
+
+@pytest.mark.parametrize("n", [12, 200, 1000])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_generator_families_roundtrip(family, n):
+    G = FAMILIES[family](n)
+    text = format_edge_list(G, header_comments=[family])
+    again = graph_from_edge_list(text)
+    assert again == G and again.adj_masks == G.adj_masks and again.m == G.m
+    assert _read_outcome(text) == _two_stage_outcome(text)
+    edges = [(G.label(u), G.label(v)) for u, v in G.edges()]
+    assert build_graph(edges, vertices=G.labels) == G
+    fields = two_stage_build(edges, vertices=G.labels)
+    assert fields[:4] == (G.labels, G.adj, G.adj_masks, G.m)
 
 
 @st.composite
