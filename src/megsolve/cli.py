@@ -223,8 +223,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             G = read_graph_file(full)
             res = solve(G, oracle_limit=limit)
-        except (EdgeListParseError, SelfLoopError, NotConnectedError,
-                LimitExceededError) as exc:
+        except (EdgeListParseError, SelfLoopError, UnicodeDecodeError,
+                OSError, NotConnectedError, LimitExceededError) as exc:
             writer.writerow([name, "", "", "error", "", "", str(exc)])
             continue
         agreed = ""
@@ -325,14 +325,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Exception -> exit code, most specific first; the first match wins.
-# EdgeListParseError and SelfLoopError are ValueErrors, so they exit 2.
+# EdgeListParseError, SelfLoopError and UnicodeDecodeError are ValueErrors,
+# so they exit 2; so does an unreadable path (any OSError).
 EXIT_CODES = (
     (NotConnectedError, EXIT_PRECONDITION),
     (MethodMismatchError, EXIT_MISMATCH),
     (LimitExceededError, EXIT_LIMIT),
     (ValueError, EXIT_INPUT),
     (GenerationError, EXIT_INPUT),
-    (FileNotFoundError, EXIT_INPUT),
+    (OSError, EXIT_INPUT),
 )
 
 

@@ -389,13 +389,19 @@ def format_edge_list(G: Graph, header_comments: Iterable[str] = ()) -> str:
     The vertex header pins the label-to-id assignment, so parsing the
     output reproduces ids, isolated vertices and all. A label that would
     not read back as one edge token (empty, holding whitespace, or
-    starting with '#' or ``vertices:``) raises ``ValueError``.
+    starting with '#' or ``vertices:``) raises ``ValueError``, and so does
+    a header comment holding a line break (any that ``str.splitlines``
+    splits on).
     """
     bad = next((lab for lab in G.labels
                 if lab.split() != [lab] or lab.startswith(_NOT_EDGE)), None)
     if bad is not None:
         raise ValueError(f"label {bad!r} cannot be written to an edge list")
-    lines = [f"# {c}" for c in header_comments]
+    comments = list(header_comments)
+    bad = next((c for c in comments if "".join(c.splitlines()) != c), None)
+    if bad is not None:
+        raise ValueError(f"header comment {bad!r} holds a line break")
+    lines = [f"# {c}" for c in comments]
     if G.n:
         lines.append("vertices: " + " ".join(G.labels))
     lines.extend(f"{G.labels[u]} {G.labels[v]}" for u, v in G.edges())

@@ -735,11 +735,24 @@ def recognize_strongly_chordal(G: Graph) -> SEO | None:
     neighborhood ``cm[u]`` of every vertex and its size, kept in
     ``rank[u]`` as the sort key of ``_chain_or_witness``, are updated
     over ``G.adj[v]`` when v is eliminated, so a simple test only sorts
-    cached keys and compares cached masks. A vertex that tests non-simple
-    keeps the four-vertex witness of ``_chain_or_witness`` and is skipped
-    by later scans until one of those four vertices is eliminated; only
-    then is it retested. The order and chains are those of testing every
-    alive vertex at every step.
+    cached keys and compares cached masks.
+
+    Most tests fail, so a cheaper test runs first. A simple vertex is
+    simplicial: for x, y in N(v), N[x] and N[y] are nested, say
+    N[x] ⊆ N[y], so x is in N[y] and x, y are adjacent. The alive
+    neighbors u of v are probed in descending id order until N[v] minus
+    N[u] holds some a; the highest such a is taken. a ≠ v because v is in
+    N[u], and a ≠ u because u is in N[u], so u and a are non-adjacent
+    neighbors of v, and v is not simple while both are alive. Only a
+    simplicial v builds and sorts its keys for the chain test. High ids
+    are probed and kept for the same reason as in ``_chain_or_witness``:
+    elimination removes low ids first, so such witnesses last longer.
+
+    A vertex that tests non-simple keeps its witness, two vertices from
+    the probe or four from ``_chain_or_witness``, and is skipped by later
+    scans until one witness vertex is eliminated; only then is it
+    retested. The order and chains are those of testing every alive
+    vertex at every step.
     """
     shift = G.n.bit_length()
     cm = [m | (1 << u) for u, m in enumerate(G.adj_masks)]
@@ -757,11 +770,18 @@ def recognize_strongly_chordal(G: Graph) -> SEO | None:
         todo = alive & ~blocked
         while todo:
             v = (todo & -todo).bit_length() - 1
-            ranked = [r for u in G.adj[v] if (r := rank[u])]
-            ranked.append(rank[v])
-            chain, wit = _chain_or_witness(cm, ranked, shift)
-            if chain is not None:
-                break
+            cm_v = cm[v]
+            wit = 0
+            for u in reversed(G.adj[v]):
+                if rank[u] and (miss := cm_v & ~cm[u]):
+                    wit = (1 << u) | (1 << (miss.bit_length() - 1))
+                    break
+            if not wit:
+                ranked = [r for u in G.adj[v] if (r := rank[u])]
+                ranked.append(rank[v])
+                chain, wit = _chain_or_witness(cm, ranked, shift)
+                if chain is not None:
+                    break
             witness[v] = wit
             blocked |= 1 << v
             for w in iter_bits(wit):

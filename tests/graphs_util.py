@@ -7,6 +7,7 @@ as independent ground truth in oracle-style comparisons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -85,6 +86,56 @@ def all_connected_graphs(n: int, degree_sorted: bool = False):
         if _connected_sets(n, pairs):
             yield build_graph([(labels[u], labels[v]) for u, v in pairs],
                               vertices=labels)
+
+
+def canonical_form(G: Graph) -> tuple[tuple[int, int], ...]:
+    """Sorted edge list under the least relabeling, equal exactly for
+    isomorphic graphs.
+
+    Only relabelings that sort vertices by (degree, sorted neighbor
+    degrees) are tried: an isomorphism preserves that key, so isomorphic
+    graphs try the same set of relabeled edge lists.
+    """
+    degree = [len(G.adj[v]) for v in range(G.n)]
+    key = {v: (degree[v], sorted(degree[u] for u in G.adj[v]))
+           for v in range(G.n)}
+    cells = [list(group) for _, group in itertools.groupby(
+        sorted(range(G.n), key=key.__getitem__), key=key.__getitem__)]
+    edges = G.edges()
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        new_id = {v: i for i, v in enumerate(itertools.chain(*parts))}
+        form = tuple(sorted(tuple(sorted((new_id[u], new_id[v])))
+                            for u, v in edges))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def extended_graphs(n: int):
+    """Connected graphs on n >= 2 vertices, at least one per isomorphism
+    class: each class representative on n - 1 vertices with a new vertex
+    n - 1 joined to every non-empty vertex subset. A connected graph has a
+    vertex whose deletion leaves it connected, so every class appears."""
+    labels = [f"v{i}" for i in range(n)]
+    for H in connected_graph_classes(n - 1):
+        base = [(labels[u], labels[v]) for u, v in H.edges()]
+        for subset in range(1, 1 << (n - 1)):
+            yield build_graph(base + [(labels[u], labels[n - 1])
+                                      for u in _bits(subset)],
+                              vertices=labels)
+
+
+@functools.cache
+def connected_graph_classes(n: int) -> tuple[Graph, ...]:
+    """One connected graph on n vertices per isomorphism class (1, 1, 2,
+    6, 21, 112 and 853 classes for n = 1 to 7)."""
+    if n == 1:
+        return (build_graph([], vertices=["v0"]),)
+    reps: dict = {}
+    for G in extended_graphs(n):
+        reps.setdefault(canonical_form(G), G)
+    return tuple(reps.values())
 
 
 def random_connected_graph(rng, n: int, extra: int = 0) -> Graph:
@@ -174,6 +225,20 @@ def brute_mandatory(G: Graph) -> list[int]:
         if len(rest) < 2 or not brute_is_meg(G, rest):
             out.append(v)
     return out
+
+
+def per_x_is_mandatory(G: Graph, v: int) -> tuple[bool, int | None]:
+    """The 4-cycle rule of ``is_mandatory`` checked one x at a time: the
+    first neighbor u of v such that every x in N(v) minus N[u] has a
+    common neighbor w != v with u."""
+    masks = G.adj_masks
+    v_bit = 1 << v
+    for u in G.adj[v]:
+        mask_u = masks[u]
+        rest = masks[v] & ~mask_u & ~(1 << u)
+        if all(mask_u & masks[x] & ~v_bit for x in _bits(rest)):
+            return True, u
+    return False, None
 
 
 def brute_articulation(G: Graph) -> list[int]:
@@ -404,6 +469,21 @@ def brute_bipartite_permutation(G: Graph) -> bool:
             if _strong_ok(adj, px, py):
                 return True
     return False
+
+
+def is_chordal(G: Graph) -> bool:
+    """Chordality by removing any simplicial vertex until none is left."""
+    masks = G.adj_masks
+    alive = (1 << G.n) - 1
+    while alive:
+        for v in _bits(alive):
+            nbrs = masks[v] & alive
+            if all(not nbrs & ~masks[u] & ~(1 << u) for u in _bits(nbrs)):
+                alive &= ~(1 << v)
+                break
+        else:
+            return False
+    return True
 
 
 def backtracking_simple_elimination(G: Graph) -> bool:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 
@@ -230,6 +232,17 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_unreadable_input_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "meg", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(b"a b\n\xff c\n")
+    code, out, err = run(capsys, "meg", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_disconnected_exit_3(tmp_path, capsys):
     path = write(tmp_path, "disc.edges", "a b\nc d\n")
     for cmd in ("meg", "recognize", "cut", "oracle", "mandatory"):
@@ -293,6 +306,26 @@ def test_bench_csv(tmp_path, capsys):
     assert target.read_text().splitlines()[0].startswith("class,")
 
 
+def test_bench_keeps_going_past_unreadable_files(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a-c4.edges").write_text(C4)
+    (corpus / "b-latin1.edges").write_bytes(b"a b\n\xff c\n")
+    (corpus / "c-dir.edges").mkdir()
+    (corpus / "d-p5.edges").write_text(P5)
+    code, out, err = run(capsys, "bench", str(corpus))
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["class", "n", "m", "method", "meg", "elapsed_ms",
+                       "agreed_with_oracle"]
+    assert [row[0] for row in rows[2:4]] == ["b-latin1.edges", "c-dir.edges"]
+    for row in rows[2:4]:
+        assert row[1:6] == ["", "", "error", "", ""] and row[6]
+    assert "codec can't decode" in rows[2][6]
+    assert [row[1:3] + row[6:] for row in (rows[1], rows[4])] == \
+        [["4", "4", "yes"], ["5", "4", "yes"]]
+
+
 def test_unknown_method_rejected_by_argparse(tmp_path, capsys):
     path = write(tmp_path, "c4.edges", C4)
     with pytest.raises(SystemExit):
@@ -308,6 +341,8 @@ def test_unknown_method_rejected_by_argparse(tmp_path, capsys):
     (NotConnectedError("graph must be connected"), 3),
     (MethodMismatchError("not recognized"), 4),
     (LimitExceededError("scan", 9, 5), 5),
+    (IsADirectoryError("is a directory"), 2),
+    (PermissionError("permission denied"), 2),
 ])
 def test_exit_code_table(tmp_path, capsys, monkeypatch, exc, code):
     def fail(path):

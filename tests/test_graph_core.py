@@ -249,6 +249,29 @@ def test_format_names_the_first_unwritable_label():
     assert graph_from_edge_list(format_edge_list(G)) == G
 
 
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+def test_format_refuses_header_comments_with_line_breaks(brk):
+    G = build_graph([("a", "b")])
+    comment = f"note{brk}c d"
+    with pytest.raises(ValueError, match=re.escape(repr(comment))):
+        format_edge_list(G, header_comments=["fine", comment])
+    with pytest.raises(ValueError):
+        format_edge_list(G, header_comments=[f"trailing{brk}"])
+
+
+def test_format_plain_header_comments_read_back():
+    G = build_graph([("a", "b"), ("b", "c")], vertices=["a", "b", "c", "q"])
+    comments = ["", "seed=3 n=4", "tab\there", "vertices: x y", "# x y",
+                "\xa0nbsp\u3000wide"]
+    text = format_edge_list(G, header_comments=comments)
+    assert text.splitlines()[:len(comments)] == [f"# {c}" for c in comments]
+    assert graph_from_edge_list(text) == G
+
+
 def _read_outcome(text):
     try:
         G = graph_from_edge_list(text)

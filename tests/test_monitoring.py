@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsolve import (NotConnectedError, SATURATION_CAP, bounds, build_graph,
-                      geodesic_edge_masks, is_mandatory, is_meg_set,
-                      mandatory_vertices, monitors, monitors_by_counting,
-                      shortest_path_counts)
+                      gen_bipartite_permutation, gen_distance_hereditary,
+                      gen_p4_sparse, gen_random_connected,
+                      gen_strongly_chordal, geodesic_edge_masks, is_mandatory,
+                      is_meg_set, mandatory_vertices, monitors,
+                      monitors_by_counting, shortest_path_counts,
+                      spider_graph)
 from megsolve.graph_core import articulation_points
 
 from graphs_util import (all_connected_graphs, brute_is_meg, brute_mandatory,
-                         brute_monitors, complete_graph, cycle_graph,
-                         path_graph, random_connected_graph, star_graph,
-                         with_universal)
+                         brute_monitors, complete_graph,
+                         connected_graph_classes, cycle_graph,
+                         extended_graphs, path_graph, per_x_is_mandatory,
+                         random_connected_graph, star_graph, with_universal)
 
 
 def test_monitors_path_endpoints_cover_everything():
@@ -218,6 +222,49 @@ def test_mandatory_matches_removal_definition_random():
         n = rng.randrange(6, 9)
         G = random_connected_graph(rng, n, extra=rng.randrange(0, n))
         assert list(mandatory_vertices(G)) == brute_mandatory(G)
+
+
+def test_mandatory_matches_removal_definition_every_class():
+    """One graph per isomorphism class at n = 6 and 7 (112 and 853); the
+    labeled graphs up to n = 5 are covered above."""
+    assert [len(connected_graph_classes(n)) for n in (6, 7)] == [112, 853]
+    mandatory = 0
+    for n in (6, 7):
+        for G in connected_graph_classes(n):
+            man = mandatory_vertices(G)
+            assert list(man) == brute_mandatory(G)
+            mandatory += len(man)
+    assert mandatory > 1000
+
+
+def test_is_mandatory_witness_matches_per_x_rule_small():
+    for G in itertools.chain(all_connected_graphs(5),
+                             all_connected_graphs(6, degree_sorted=True),
+                             extended_graphs(7)):
+        expected = [per_x_is_mandatory(G, v) for v in range(G.n)]
+        assert [is_mandatory(G, v) for v in range(G.n)] == expected
+        assert mandatory_vertices(G) == tuple(
+            v for v, (ok, _) in enumerate(expected) if ok)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("make", [
+    lambda n: gen_distance_hereditary(n, 3),
+    lambda n: gen_p4_sparse(n, 3),
+    lambda n: gen_bipartite_permutation(n // 2, n - n // 2, 3),
+    lambda n: gen_strongly_chordal(n, 3, "interval"),
+    lambda n: gen_strongly_chordal(n, 3, "block"),
+    lambda n: gen_random_connected(n, 2 * n, 3),
+    lambda n: spider_graph(n // 2 - 2, "thick", head=4),
+], ids=["dh", "p4sparse", "bipperm", "sc-interval", "sc-block", "random",
+        "spider-thick"])
+def test_mandatory_matches_is_mandatory_on_generators(make, n):
+    G = make(n)
+    assert G.n == n
+    witnesses = [is_mandatory(G, v) for v in range(G.n)]
+    assert mandatory_vertices(G) == tuple(
+        v for v, (ok, _) in enumerate(witnesses) if ok)
+    assert witnesses == [per_x_is_mandatory(G, v) for v in range(G.n)]
 
 
 def test_mandatory_disjoint_from_cut_vertices():

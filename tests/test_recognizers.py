@@ -20,14 +20,16 @@ from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
                       strong_ordering_from_orders, verify_prune_sequence,
                       verify_seo, verify_spider_partition,
                       verify_strong_ordering)
+from megsolve import recognizers
 from megsolve.recognizers import _Pruning, _simple_chain, _spider_masks
 
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
                          brute_distance_hereditary, brute_p4_sparse,
                          complete_bipartite, complete_graph, cycle_graph,
-                         exhaustive_spider, path_graph,
-                         quadratic_strong_ordering, random_connected_graph,
+                         exhaustive_spider, extended_graphs, is_chordal,
+                         path_graph, quadratic_strong_ordering,
+                         random_connected_graph,
                          rescan_distance_hereditary, rescan_prune_steps,
                          rescan_strongly_chordal,
                          scan_p4_sparse, star_graph, with_universal)
@@ -785,6 +787,82 @@ def test_simple_chain_witness_survives_unrelated_deletions():
                 assert _simple_chain(G.adj_masks, alive, v)[0] is None
                 checked += 1
     assert checked > 500
+
+
+def test_sc_matches_rescan_on_every_small_graph():
+    """Every labeled connected graph up to n = 5, and at least one labeling
+    of every isomorphism class at n = 6 and 7 (several for most)."""
+    verdicts = Counter()
+    for n in range(1, 6):
+        for G in all_connected_graphs(n):
+            seo = recognize_strongly_chordal(G)
+            assert seo == rescan_strongly_chordal(G)
+            verdicts[seo is not None] += 1
+    for G in itertools.chain(all_connected_graphs(6, degree_sorted=True),
+                             extended_graphs(7)):
+        seo = recognize_strongly_chordal(G)
+        assert seo == rescan_strongly_chordal(G)
+        verdicts[seo is not None] += 1
+    assert verdicts[True] > 2000 and verdicts[False] > 5000
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_strongly_chordal(200, 7, "interval"),
+    lambda: gen_strongly_chordal(200, 7, "block"),
+    lambda: gen_strongly_chordal(1000, 7, "interval"),
+    lambda: gen_strongly_chordal(1000, 7, "block"),
+], ids=["interval-200", "block-200", "interval-1000", "block-1000"])
+def test_sc_matches_rescan_on_strongly_chordal_generators(make):
+    G = make()
+    seo = recognize_strongly_chordal(G)
+    assert seo is not None and seo == rescan_strongly_chordal(G)
+
+
+def test_sc_matches_rescan_on_non_chordal_p4_sparse(monkeypatch):
+    """These dense graphs have no simplicial vertex, so the two-vertex
+    probe settles every test and the chain test never runs."""
+    def never(cm, ranked, shift):
+        raise AssertionError("chain test on a non-simplicial vertex")
+
+    monkeypatch.setattr(recognizers, "_chain_or_witness", never)
+    for seed in (1, 2, 3):
+        G = gen_p4_sparse(200, seed)
+        assert not is_chordal(G)
+        assert recognize_strongly_chordal(G) is None
+        assert rescan_strongly_chordal(G) is None
+
+
+def test_only_simplicial_vertices_reach_the_chain_test(monkeypatch):
+    """The two-vertex probe settles every non-simplicial vertex. On this
+    interval graph every simplicial vertex tested is also simple, so the
+    chain test runs once per vertex; testing every candidate in full made
+    4,721 chain tests here. Each failed test files its witness through one
+    ``iter_bits`` call; probing from high ids and keeping the highest a
+    makes witnesses outlive more eliminations, and so fewer failures
+    (probing from low ids, or keeping the lowest a, fails 5,206 times)."""
+    chain_test = recognizers._chain_or_witness
+    iter_bits = recognizers.iter_bits
+    chain_tests = failed_tests = 0
+
+    def counted_chain_test(cm, ranked, shift):
+        nonlocal chain_tests
+        chain_tests += 1
+        ids = (1 << shift) - 1
+        closed = sum(1 << (r & ids) for r in ranked)
+        assert all(cm[r & ids] & closed == closed for r in ranked)
+        return chain_test(cm, ranked, shift)
+
+    def counted_iter_bits(mask):
+        nonlocal failed_tests
+        failed_tests += 1
+        return iter_bits(mask)
+
+    monkeypatch.setattr(recognizers, "_chain_or_witness", counted_chain_test)
+    monkeypatch.setattr(recognizers, "iter_bits", counted_iter_bits)
+    G = gen_strongly_chordal(1000, 1, "interval")
+    seo = recognize_strongly_chordal(G)
+    assert (chain_tests, failed_tests) == (1000, 1595)
+    assert seo is not None and verify_seo(G, seo)
 
 
 # ---------------------------------------------------------------------------
