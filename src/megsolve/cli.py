@@ -223,8 +223,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             G = read_graph_file(full)
             res = solve(G, oracle_limit=limit)
-        except (EdgeListParseError, SelfLoopError, UnicodeDecodeError,
-                OSError, NotConnectedError, LimitExceededError) as exc:
+        except (EdgeListParseError, SelfLoopError, OSError,
+                NotConnectedError, LimitExceededError) as exc:
             writer.writerow([name, "", "", "error", "", "", str(exc)])
             continue
         agreed = ""
@@ -325,8 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Exception -> exit code, most specific first; the first match wins.
-# EdgeListParseError, SelfLoopError and UnicodeDecodeError are ValueErrors,
-# so they exit 2; so does an unreadable path (any OSError).
+# EdgeListParseError (also raised for bytes that are not UTF-8) and
+# SelfLoopError are ValueErrors, so they exit 2; so does an unreadable path
+# (any OSError).
 EXIT_CODES = (
     (NotConnectedError, EXIT_PRECONDITION),
     (MethodMismatchError, EXIT_MISMATCH),

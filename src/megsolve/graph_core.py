@@ -379,8 +379,18 @@ def graph_from_edge_list(text: str) -> Graph:
 
 
 def read_graph_file(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_edge_list(fh.read())
+    """Read a UTF-8 edge-list file. Bytes that are not UTF-8 raise
+    ``EdgeListParseError`` naming the line of the first one, numbered as
+    the parser numbers lines (``str.splitlines``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        valid = data[:exc.start].decode("utf-8")
+        raise EdgeListParseError(len((valid + "x").splitlines()),
+                                 str(exc)) from None
+    return graph_from_edge_list(text)
 
 
 def format_edge_list(G: Graph, header_comments: Iterable[str] = ()) -> str:

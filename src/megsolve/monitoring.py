@@ -240,14 +240,24 @@ def mandatory_vertices(G: Graph) -> tuple[int, ...]:
     """All vertices contained in every MEG set of G.
 
     The rule of ``is_mandatory`` with each neighbor's covered set computed
-    once for the whole graph: O(m) mask operations in total.
+    at most once, the first time some v reads it: O(m) mask operations in
+    total, and often far fewer, since the scan of N(v) stops at the first
+    qualifying u.
     """
     require_meg_input(G)
     adj, masks = G.adj, G.adj_masks
-    covered = [_covered(adj, masks, u) for u in range(G.n)]
+    # 0 means "not computed yet": a covered set always holds u itself.
+    covered = [0] * G.n
+
+    def covered_once(u: int) -> int:
+        got = covered[u]
+        if not got:
+            got = covered[u] = _covered(adj, masks, u)
+        return got
+
     return tuple(v for v in range(G.n)
                  if _mandatory_witness(masks, adj[v], v,
-                                       covered.__getitem__) is not None)
+                                       covered_once) is not None)
 
 
 def bounds(G: Graph) -> Bounds:

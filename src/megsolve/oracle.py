@@ -5,12 +5,15 @@ each cardinality, in lexicographic order, so the first hit is a canonical
 witness. Per-pair edge coverage comes from
 ``monitoring.geodesic_edge_masks``, which agrees with the edge-deletion
 definition of ``monitoring.monitors``; it is precomputed once per graph so
-subset tests reduce to bitmask unions.
+subset tests reduce to bitmask unions. One iterative kernel,
+``_covering_subsets``, walks the subsets of one size and keeps the union of
+each prefix, so consecutive subsets share the work of their common prefix.
+It tests every subset it counts; it prunes none.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import LimitExceededError
@@ -36,28 +39,50 @@ def _check_size(G: Graph, limit: int | None) -> int:
     return limit
 
 
-def _pair_cover_masks(G: Graph) -> tuple[int, dict[tuple[int, int], int]]:
-    """For every vertex pair that monitors some edge, the bitmask of those
-    edges (bit i is ``G.edges()[i]``).
+def _pair_cover_masks(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """For every vertex pair (a, b), the bitmask ``rows[a][b]`` of the edges
+    it monitors (bit i is ``G.edges()[i]``; 0 when it monitors none).
 
     Read off ``geodesic_edge_masks``, which agrees with the edge-deletion
-    definition. Returns (full coverage mask, pair -> mask).
+    definition. Returns (full coverage mask, rows).
     """
-    must = geodesic_edge_masks(G)
-    cover = {(s, t): must[s][t]
-             for s in range(G.n) for t in range(s + 1, G.n) if must[s][t]}
-    return (1 << G.m) - 1, cover
+    return (1 << G.m) - 1, geodesic_edge_masks(G)
 
 
-def _covers_all(S: tuple[int, ...], full: int,
-                cover: dict[tuple[int, int], int]) -> bool:
-    got = 0
-    for i, a in enumerate(S):
-        for b in S[i + 1:]:
-            got |= cover.get((a, b), 0)
-            if got == full:
-                return True
-    return got == full
+def _covering_subsets(pair, seeds, acc0: int, size: int, full: int):
+    """Every ``size``-subset P of the positions ``0 .. len(pair) - 1`` whose
+    coverage ``acc0 | OR seeds[p] | OR pair[p][q]`` (p, q in P) is ``full``.
+
+    Yields (rank, P) with rank the 1-based place of P among all
+    ``size``-subsets in ``itertools.combinations`` order, which is also
+    the order of the hits. Every subset is tested. Each frame of the
+    iterative walk holds one prefix: its coverage, and per later position
+    p the pairs p would add to it (``tails``). A child frame folds one
+    more pair row into the parent's tails, one OR per later position, and
+    the last position tests ``acc | tails[i]``, one OR per subset, instead
+    of rescanning the |P|^2 / 2 pairs of every subset.
+    """
+    if size == 0:
+        if acc0 == full:
+            yield 1, ()
+        return
+    rank = 0
+    stack = [(acc0, list(seeds), 0, ())]
+    while stack:
+        acc, tails, start, prefix = stack.pop()
+        left = size - len(prefix)
+        if left == 1:
+            for i, t in enumerate(tails):
+                if acc | t == full:
+                    yield rank + i + 1, prefix + (start + i,)
+            rank += len(tails)
+            continue
+        # Children pushed last-first, so they pop in ascending order.
+        for i in range(len(tails) - left, -1, -1):
+            p = start + i
+            row = pair[p]
+            later = [t | row[q] for q, t in enumerate(tails[i + 1:], p + 1)]
+            stack.append((acc | tails[i], later, p + 1, prefix + (p,)))
 
 
 def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
@@ -66,29 +91,48 @@ def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
 
     With ``trust_bounds`` the search is restricted to supersets of the
     mandatory vertices within the non-cut vertices; both modes return the
-    same minimum cardinality.
+    same minimum cardinality. ``explored`` counts the subsets walked up to
+    and including the witness: in trusted mode every combination of pool
+    vertices from size 0 on (those leaving |S| < 2 are counted, not
+    tested), in raw mode every vertex subset from size 2 on.
     """
     require_meg_input(G)
     _check_size(G, limit)
-    full, cover = _pair_cover_masks(G)
+    full, rows = _pair_cover_masks(G)
     explored = 0
     if trust_bounds:
         base = mandatory_vertices(G)
         cut = set(articulation_points(G))
         pool = [v for v in range(G.n)
                 if v not in cut and v not in base]
+        acc0 = 0
+        for i, a in enumerate(base):
+            for b in base[i + 1:]:
+                acc0 |= rows[a][b]
+        seeds = []
+        for v in pool:
+            seed = 0
+            for b in base:
+                seed |= rows[v][b]
+            seeds.append(seed)
+        pair = [[rows[v][w] for w in pool] for v in pool]
         for extra in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, extra):
-                S = tuple(sorted(base + combo))
-                explored += 1
-                if len(S) >= 2 and _covers_all(S, full, cover):
-                    return OracleResult(len(S), S, explored, True)
+            if len(base) + extra >= 2:
+                hit = next(_covering_subsets(pair, seeds, acc0, extra, full),
+                           None)
+                if hit is not None:
+                    rank, picked = hit
+                    S = tuple(sorted(base + tuple(pool[p] for p in picked)))
+                    return OracleResult(len(S), S, explored + rank, True)
+            explored += math.comb(len(pool), extra)
         raise AssertionError("no MEG set found inside sandwich bounds")
+    seeds = [0] * G.n
     for size in range(2, G.n + 1):
-        for combo in itertools.combinations(range(G.n), size):
-            explored += 1
-            if _covers_all(combo, full, cover):
-                return OracleResult(size, combo, explored, False)
+        hit = next(_covering_subsets(rows, seeds, 0, size, full), None)
+        if hit is not None:
+            rank, combo = hit
+            return OracleResult(size, combo, explored + rank, False)
+        explored += math.comb(G.n, size)
     raise AssertionError("V itself must be an MEG set")
 
 
@@ -110,10 +154,11 @@ def all_min_meg_sets(G: Graph, limit: int | None = None) -> list[tuple[int, ...]
     """
     require_meg_input(G)
     _check_size(G, limit)
-    full, cover = _pair_cover_masks(G)
+    full, rows = _pair_cover_masks(G)
+    seeds = [0] * G.n
     for size in range(2, G.n + 1):
-        hits = [combo for combo in itertools.combinations(range(G.n), size)
-                if _covers_all(combo, full, cover)]
+        hits = [combo for _, combo
+                in _covering_subsets(rows, seeds, 0, size, full)]
         if hits:
             return hits
     raise AssertionError("V itself must be an MEG set")

@@ -13,7 +13,10 @@ from collections import deque
 
 from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
                       SelfLoopError, SpiderPartition, StrongOrdering,
-                      build_graph, verify_spider_partition)
+                      build_graph, mandatory_vertices,
+                      verify_spider_partition)
+from megsolve.graph_core import articulation_points
+from megsolve.monitoring import geodesic_edge_masks
 
 
 def path_graph(k: int) -> Graph:
@@ -216,6 +219,66 @@ def brute_all_min_meg(G: Graph) -> list[tuple[int, ...]]:
     size, _ = brute_min_meg(G)
     return [c for c in itertools.combinations(range(G.n), size)
             if brute_is_meg(G, c)]
+
+
+def _tuple_keyed_cover(G: Graph) -> tuple[int, dict[tuple[int, int], int]]:
+    """Full coverage mask and a dict from each pair (s, t), s < t, that
+    monitors some edge to the mask of those edges."""
+    must = geodesic_edge_masks(G)
+    cover = {(s, t): must[s][t]
+             for s in range(G.n) for t in range(s + 1, G.n) if must[s][t]}
+    return (1 << G.m) - 1, cover
+
+
+def _covers_all(S: tuple[int, ...], full: int,
+                cover: dict[tuple[int, int], int]) -> bool:
+    got = 0
+    for i, a in enumerate(S):
+        for b in S[i + 1:]:
+            got |= cover.get((a, b), 0)
+            if got == full:
+                return True
+    return got == full
+
+
+def rescan_min_meg(G: Graph, trust_bounds: bool = True
+                   ) -> tuple[int, tuple[int, ...], int, bool]:
+    """The oracle's subset search with every subset's pair union rebuilt
+    from a tuple-keyed dict: (meg, witness, explored, trusted_bounds) as
+    ``min_meg_bruteforce`` reports them. Shares the cover masks, the
+    mandatory vertices and the cut vertices with the package; only the
+    enumeration is independent."""
+    full, cover = _tuple_keyed_cover(G)
+    explored = 0
+    if trust_bounds:
+        base = mandatory_vertices(G)
+        cut = set(articulation_points(G))
+        pool = [v for v in range(G.n)
+                if v not in cut and v not in base]
+        for extra in range(len(pool) + 1):
+            for combo in itertools.combinations(pool, extra):
+                S = tuple(sorted(base + combo))
+                explored += 1
+                if len(S) >= 2 and _covers_all(S, full, cover):
+                    return len(S), S, explored, True
+        raise AssertionError("no MEG set found inside sandwich bounds")
+    for size in range(2, G.n + 1):
+        for combo in itertools.combinations(range(G.n), size):
+            explored += 1
+            if _covers_all(combo, full, cover):
+                return size, combo, explored, False
+    raise AssertionError("V itself must be an MEG set")
+
+
+def rescan_all_min_meg_sets(G: Graph) -> list[tuple[int, ...]]:
+    """``all_min_meg_sets`` by the same rescanning enumeration."""
+    full, cover = _tuple_keyed_cover(G)
+    for size in range(2, G.n + 1):
+        hits = [combo for combo in itertools.combinations(range(G.n), size)
+                if _covers_all(combo, full, cover)]
+        if hits:
+            return hits
+    raise AssertionError("V itself must be an MEG set")
 
 
 def brute_mandatory(G: Graph) -> list[int]:

@@ -322,8 +322,29 @@ def test_bench_keeps_going_past_unreadable_files(tmp_path, capsys):
     for row in rows[2:4]:
         assert row[1:6] == ["", "", "error", "", ""] and row[6]
     assert "codec can't decode" in rows[2][6]
+    assert rows[2][6].startswith("line 2: ")
     assert [row[1:3] + row[6:] for row in (rows[1], rows[4])] == \
         [["4", "4", "yes"], ["5", "4", "yes"]]
+
+
+@pytest.mark.parametrize("data, line_no", [
+    (b"a b\nb c\n\xff c\n", 3),
+    (b"\xff", 1),
+    (b"a b\n\xff", 2),
+    (b"a b\r\nb c\r\n\r\nc d \xe2\x82", 4),  # CRLF, truncated character
+    (b"# \xc3\xa9t\xc3\xa9\na b\rb c\n\xc0\xaf\n", 4),  # lone CR breaks too
+], ids=["third-line", "first-byte", "after-newline", "crlf-truncated",
+        "lone-cr"])
+def test_undecodable_byte_names_its_line(tmp_path, capsys, data, line_no):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "meg", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line_no}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+    with pytest.raises(EdgeListParseError) as info:
+        cli.read_graph_file(str(path))
+    assert info.value.line_no == line_no
 
 
 def test_unknown_method_rejected_by_argparse(tmp_path, capsys):

@@ -3,14 +3,17 @@ import random
 
 import pytest
 
-from megsolve import (LimitExceededError, all_min_meg_sets, is_mandatory,
-                      is_meg_set, mandatory_bruteforce, mandatory_vertices,
+from megsolve import (LimitExceededError, all_min_meg_sets,
+                      gen_random_connected, is_mandatory, is_meg_set,
+                      mandatory_bruteforce, mandatory_vertices,
                       min_meg_bruteforce)
 from megsolve.graph_core import articulation_points
 
 from graphs_util import (all_connected_graphs, brute_all_min_meg,
-                         brute_min_meg, complete_graph, cycle_graph,
-                         path_graph, random_connected_graph, star_graph)
+                         brute_min_meg, complete_graph,
+                         connected_graph_classes, cycle_graph, path_graph,
+                         random_connected_graph, rescan_all_min_meg_sets,
+                         rescan_min_meg, star_graph)
 
 
 def test_frozen_small_values():
@@ -134,3 +137,41 @@ def test_size_limit_enforced():
         all_min_meg_sets(path_graph(13))
     with pytest.raises(LimitExceededError):
         mandatory_bruteforce(path_graph(13), 0)
+
+
+def _assert_search_matches_rescan(G):
+    for trust in (True, False):
+        res = min_meg_bruteforce(G, trust_bounds=trust)
+        got = (res.meg, res.witness, res.explored, res.trusted_bounds)
+        assert got == rescan_min_meg(G, trust_bounds=trust)
+    assert all_min_meg_sets(G) == rescan_all_min_meg_sets(G)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_search_matches_rescan_on_every_small_graph(n):
+    for G in connected_graph_classes(n):
+        _assert_search_matches_rescan(G)
+
+
+def test_search_matches_rescan_on_random_graphs():
+    rng = random.Random(20261018)
+    for seed in range(1000):
+        n = rng.randrange(2, 13)
+        m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
+        _assert_search_matches_rescan(gen_random_connected(n, m, seed))
+
+
+def test_trusted_search_counts_untested_small_subsets():
+    # With fewer than two mandatory vertices, the pool combinations that
+    # leave |S| < 2 are counted but not tested: on C5 (no mandatory vertex)
+    # the sizes 0 and 1 add 1 + 5 to the 18 subsets explored.
+    small = {0: 0, 1: 0}
+    for n in range(5, 8):
+        for G in connected_graph_classes(n):
+            base = len(mandatory_vertices(G))
+            if base <= 1:
+                small[base] += 1
+                res = min_meg_bruteforce(G)
+                got = (res.meg, res.witness, res.explored, res.trusted_bounds)
+                assert got == rescan_min_meg(G)
+    assert small == {0: 5, 1: 6}
