@@ -29,7 +29,7 @@ from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
 from .recognizers import (detect_spider, recognize_bipartite_permutation,
                           recognize_distance_hereditary, recognize_p4_sparse,
                           recognize_strongly_chordal)
-from .solvers import solve
+from .solvers import METHODS, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -274,9 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("meg", help="solve for the MEG number")
     p.add_argument("path")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "cut", "mandatory", "structural",
-                            "oracle", "decomposition"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     add_common(p)
     p.set_defaults(func=cmd_meg)
 

@@ -238,34 +238,38 @@ def connected_components(G: Graph) -> list[tuple[int, ...]]:
 
 
 def articulation_points(G: Graph) -> tuple[int, ...]:
-    """Cut vertices via iterative DFS low-link."""
+    """Cut vertices via iterative DFS low-link. The same DFS records the
+    blocks for ``blocks``, and both are cached on the graph together."""
     if G._articulation is not None:
-        return G._articulation
+        return G._articulation[0]
     n = G.n
+    adj = G.adj
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
-    is_cut = [False] * n
+    closes = [0] * n  # blocks closed at each vertex
+    trail: list[int] = []
+    at = [0] * n  # trail position of each vertex
+    found: list[tuple[int, ...]] = []
     timer = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        root_children = 0
         disc[root] = low[root] = timer
         timer += 1
         stack: list[tuple[int, int]] = [(root, 0)]
         while stack:
             v, i = stack[-1]
-            if i < len(G.adj[v]):
+            if i < len(adj[v]):
                 stack[-1] = (v, i + 1)
-                w = G.adj[v][i]
+                w = adj[v][i]
                 if disc[w] == -1:
                     parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
                     stack.append((w, 0))
+                    at[w] = len(trail)
+                    trail.append(w)
                 elif w != parent[v]:
                     if disc[w] < low[v]:
                         low[v] = disc[w]
@@ -275,13 +279,31 @@ def articulation_points(G: Graph) -> tuple[int, ...]:
                     u = stack[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-                    if u != root and low[v] >= disc[u]:
-                        is_cut[u] = True
-        if root_children >= 2:
-            is_cut[root] = True
-    result = tuple(v for v in range(n) if is_cut[v])
-    G._articulation = result
+                    if low[v] >= disc[u]:
+                        # A block closes at u: u plus the trail from v on,
+                        # which is v's subtree minus the blocks closed in it.
+                        closes[u] += 1
+                        found.append((*trail[at[v]:], u))
+                        del trail[at[v]:]
+    # Every child of a DFS root closes a block at it, so a root is a cut
+    # vertex when two blocks close there; any other vertex when one does.
+    result = tuple(v for v in range(n)
+                   if closes[v] >= (2 if parent[v] == -1 else 1))
+    G._articulation = (result, tuple(found))
     return result
+
+
+def blocks(G: Graph) -> tuple[tuple[int, ...], ...]:
+    """Blocks (biconnected components, bridges as blocks of two) as vertex
+    tuples, unsorted; every edge lies in exactly one block."""
+    articulation_points(G)
+    return G._articulation[1]
+
+
+def non_cut_vertices(G: Graph) -> tuple[int, ...]:
+    """Every vertex that is not a cut vertex, ascending."""
+    cut = set(articulation_points(G))
+    return tuple(v for v in range(G.n) if v not in cut)
 
 
 def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:

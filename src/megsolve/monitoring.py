@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import NotConnectedError
 from .graph_core import (DistanceMatrix, Graph, all_pairs_distances,
-                         bfs_distances, is_connected, vertex_set)
+                         bfs_distances, is_connected, non_cut_vertices,
+                         vertex_set)
 
 # Path counts saturate at this cap (64-bit signed max). A saturated count
 # means "this many or more", so any predicate touching one is indeterminate.
@@ -165,7 +166,7 @@ def geodesic_edge_masks(G: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def is_meg_set(G: Graph, members, dist: DistanceMatrix | None = None) -> MegSetCheck:
+def is_meg_set(G: Graph, members) -> MegSetCheck:
     """Check whether ``members`` monitors every edge of G.
 
     Iterates edges in sorted order; for each edge, deletion distances are
@@ -176,8 +177,7 @@ def is_meg_set(G: Graph, members, dist: DistanceMatrix | None = None) -> MegSetC
     S = vertex_set(members)
     if S and (S[0] < 0 or S[-1] >= G.n):
         raise ValueError("vertex id out of range")
-    if dist is None:
-        dist = all_pairs_distances(G)
+    dist = all_pairs_distances(G)
     for u, v in G.edges():
         covered = False
         for a in S:
@@ -262,11 +262,8 @@ def mandatory_vertices(G: Graph) -> tuple[int, ...]:
 
 def bounds(G: Graph) -> Bounds:
     """Mandatory-vertex lower bound and non-cut-vertex upper bound."""
-    from .graph_core import articulation_points
-
     require_meg_input(G)
     man = mandatory_vertices(G)
-    cut = set(articulation_points(G))
-    non_cut = tuple(v for v in range(G.n) if v not in cut)
+    non_cut = non_cut_vertices(G)
     return Bounds(lower=len(man), upper=len(non_cut),
                   mandatory=man, non_cut=non_cut)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import LimitExceededError
-from .graph_core import Graph, articulation_points
+from .graph_core import Graph, non_cut_vertices
 from .monitoring import (geodesic_edge_masks, is_meg_set, mandatory_vertices,
                          require_meg_input)
 
@@ -102,9 +102,7 @@ def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
     explored = 0
     if trust_bounds:
         base = mandatory_vertices(G)
-        cut = set(articulation_points(G))
-        pool = [v for v in range(G.n)
-                if v not in cut and v not in base]
+        pool = [v for v in non_cut_vertices(G) if v not in base]
         acc0 = 0
         for i, a in enumerate(base):
             for b in base[i + 1:]:

@@ -603,9 +603,7 @@ def _layered_candidate(G: Graph, start: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(x_order), tuple(y_order)
 
 
-def recognize_bipartite_permutation(
-        G: Graph,
-        exhaustive_limit: int = DEFAULT_BP_EXHAUSTIVE_LIMIT) -> BipPermResult:
+def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
     """Search for a strong ordering.
 
     The layered heuristic is tried from a double-sweep endpoint and then
@@ -639,7 +637,7 @@ def recognize_bipartite_permutation(
         so = strong_ordering_from_orders(G, x_order, y_order)
         if verify_strong_ordering(G, so):
             return BipPermResult("yes", so)
-    if G.n <= exhaustive_limit:
+    if G.n <= DEFAULT_BP_EXHAUSTIVE_LIMIT:
         X, Y = coloring
         for px in itertools.permutations(X):
             for py in itertools.permutations(Y):

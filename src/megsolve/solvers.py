@@ -1,11 +1,14 @@
 """MEG-number solvers dispatched by recognized graph class.
 
-Two closed-form routes exist: cut-based (witness = all non-cut vertices;
-valid for distance-hereditary and bipartite permutation graphs) and
+Two closed forms exist: cut-based (witness = all non-cut vertices; valid
+for distance-hereditary and bipartite permutation graphs) and
 mandatory-based (witness = the mandatory vertices; valid for strongly
-chordal and P4-sparse graphs). A structural solver handles P4-sparse
-graphs by case analysis on the complement, and a decomposition solver
-splits on cut vertices without claiming minimality.
+chordal and P4-sparse graphs). ``ROUTES`` pairs each of those four
+classes with its recognizer and closed form; auto mode and the forced
+``cut`` and ``mandatory`` methods all walk it. A structural solver
+handles P4-sparse graphs by case analysis on the complement, and a
+decomposition solver merges solutions of the blocks (biconnected
+components) without claiming minimality.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import MethodMismatchError, NotConnectedError, NotP4SparseError
-from .graph_core import (Graph, articulation_points, bfs_distances,
-                         co_components, connected_components,
-                         induced_subgraph, is_connected, vertex_set)
+from .graph_core import (Graph, articulation_points, bfs_distances, blocks,
+                         co_components, induced_subgraph, is_connected,
+                         non_cut_vertices, vertex_set)
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
 from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
@@ -26,6 +29,21 @@ from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
                           verify_strong_ordering)
 
 METHODS = ("auto", "cut", "mandatory", "structural", "oracle", "decomposition")
+
+# (class, display name, closed form, verdict), in the order auto mode tries
+# them. A verdict is "yes", "no" or "unknown". Recognizers, like the
+# closed forms in ``_walk_routes``, are looked up by module-global name on
+# each call, so a tracer that rebinds those names sees every call.
+ROUTES = (
+    ("distance_hereditary", "distance-hereditary", "cut_based",
+     lambda G: "no" if recognize_distance_hereditary(G) is None else "yes"),
+    ("bipartite_permutation", "bipartite permutation", "cut_based",
+     lambda G: recognize_bipartite_permutation(G).verdict),
+    ("strongly_chordal", "strongly chordal", "mandatory_based",
+     lambda G: "no" if recognize_strongly_chordal(G) is None else "yes"),
+    ("p4_sparse", "P4-sparse", "mandatory_based",
+     lambda G: "yes" if recognize_p4_sparse(G) else "no"),
+)
 
 
 @dataclass
@@ -41,9 +59,30 @@ class MegResult:
     bounds: Bounds | None = None
 
 
-def _cut_witness(G: Graph) -> tuple[int, ...]:
-    cut = set(articulation_points(G))
-    return tuple(v for v in range(G.n) if v not in cut)
+def _walk_routes(G: Graph, form: str | None, t0: float) -> MegResult | None:
+    """Solve G by the first route whose verdict is "yes", trying every
+    route (``form`` None) or only those of closed form ``form``.
+
+    With no "yes", auto mode gets None and a forced closed form raises
+    ``MethodMismatchError`` listing each verdict it saw.
+    """
+    seen = []
+    for cls, name, closed_form, verdict in ROUTES:
+        if form is not None and closed_form != form:
+            continue
+        answer = verdict(G)
+        if answer == "yes":
+            witness = (non_cut_vertices(G) if closed_form == "cut_based"
+                       else mandatory_vertices(G))
+            return MegResult(cls, closed_form, len(witness), witness,
+                             time.perf_counter() - t0, True)
+        seen.append((name, answer))
+    if form is None:
+        return None
+    raise MethodMismatchError(
+        f"{form.replace('_', '-')} solving needs a "
+        f"{' or '.join(name for name, _ in seen)} graph "
+        f"({', '.join(f'{name}: {answer}' for name, answer in seen)})")
 
 
 def solve_cut_based(G: Graph) -> MegResult:
@@ -53,20 +92,7 @@ def solve_cut_based(G: Graph) -> MegResult:
     input must be recognized as one of the two.
     """
     require_meg_input(G)
-    t0 = time.perf_counter()
-    if recognize_distance_hereditary(G) is not None:
-        cls = "distance_hereditary"
-    else:
-        bp = recognize_bipartite_permutation(G)
-        if bp.verdict != "yes":
-            raise MethodMismatchError(
-                "cut-based solving needs a distance-hereditary or bipartite "
-                f"permutation graph (distance-hereditary: no, "
-                f"bipartite permutation: {bp.verdict})")
-        cls = "bipartite_permutation"
-    witness = _cut_witness(G)
-    return MegResult(cls, "cut_based", len(witness), witness,
-                     time.perf_counter() - t0, True)
+    return _walk_routes(G, "cut_based", time.perf_counter())
 
 
 def solve_mandatory_based(G: Graph) -> MegResult:
@@ -76,18 +102,7 @@ def solve_mandatory_based(G: Graph) -> MegResult:
     recognized as one of the two.
     """
     require_meg_input(G)
-    t0 = time.perf_counter()
-    if recognize_strongly_chordal(G) is not None:
-        cls = "strongly_chordal"
-    elif recognize_p4_sparse(G):
-        cls = "p4_sparse"
-    else:
-        raise MethodMismatchError(
-            "mandatory-based solving needs a strongly chordal or P4-sparse "
-            "graph (strongly chordal: no, p4-sparse: no)")
-    witness = mandatory_vertices(G)
-    return MegResult(cls, "mandatory_based", len(witness), witness,
-                     time.perf_counter() - t0, True)
+    return _walk_routes(G, "mandatory_based", time.perf_counter())
 
 
 def ecc_le2_exists(G: Graph) -> tuple[bool, int | None]:
@@ -186,99 +201,61 @@ def solve_by_cut_decomposition(
         G: Graph,
         piece_solver: Callable[[Graph], tuple[int, ...]] | None = None,
         oracle_limit: int | None = None) -> tuple[int, ...]:
-    """Assemble an MEG set by splitting on cut vertices.
+    """Assemble an MEG set from the blocks of G, in one pass over the
+    blocks the articulation-point DFS records.
 
-    Each cut vertex v splits the graph into pieces (component plus v);
-    piece solutions are merged and v is dropped. The result is a valid
-    MEG set but carries no minimality claim. Piece-solver failures
-    propagate.
+    Each block (biconnected component, or a bridge) is solved as an
+    induced subgraph; the union of the block solutions minus the cut
+    vertices is the answer. It is a valid MEG set but carries no
+    minimality claim. Piece-solver failures propagate. This equals
+    splitting pieces at cut vertices until none is left: such a walk ends
+    with exactly the blocks as pieces, ids in the same order, and splits
+    exactly at the cut vertices of G, since a split puts every vertex but
+    the split one into exactly one piece.
     """
     require_meg_input(G)
     if piece_solver is None:
         piece_solver = _default_piece_solver(oracle_limit)
-    return _decompose(G, piece_solver)
-
-
-def _decompose(G: Graph, piece_solver) -> tuple[int, ...]:
-    """Split pieces at their lowest cut vertex until none is left.
-
-    Pieces are kept on an explicit stack in depth-first order, so deep
-    block trees such as long paths need no recursion, and piece_solver
-    sees the pieces in the same order as a recursive walk. The answer is
-    every label some final piece's solution holds, minus every split
-    vertex. That equals merging piece solutions bottom-up and dropping
-    each split vertex at its own split: a split puts every vertex but the
-    split one into exactly one piece, so a final piece holding a split
-    vertex always lies below a split at that vertex.
-    """
-    found: set[str] = set()
-    split: set[str] = set()
-    stack = [G]
-    while stack:
-        H = stack.pop()
-        aps = articulation_points(H)
-        if not aps:
-            found.update(H.labels_of(piece_solver(H)))
-            continue
-        v = aps[0]
-        split.add(H.labels[v])
-        rest = [u for u in range(H.n) if u != v]
-        shards = connected_components(induced_subgraph(H, rest))
-        for shard in reversed(shards):
-            members = sorted([rest[i] for i in shard] + [v])
-            stack.append(induced_subgraph(H, members))
-    return vertex_set(G.id_of(label) for label in found - split)
+    found: set[int] = set()
+    for block in blocks(G):
+        ids = vertex_set(block)
+        found.update(ids[i] for i in piece_solver(induced_subgraph(G, ids)))
+    return vertex_set(found.difference(articulation_points(G)))
 
 
 def solve(G: Graph, method: str = "auto",
           oracle_limit: int | None = None) -> MegResult:
     """Top-level dispatcher.
 
-    Auto mode tries recognizers in order distance-hereditary, bipartite
-    permutation, strongly chordal, P4-sparse, then falls back to the
+    Auto mode walks ``ROUTES`` (distance-hereditary, bipartite
+    permutation, strongly chordal, P4-sparse) and solves by the closed
+    form of the first class recognized; otherwise it falls back to the
     brute-force oracle on small graphs, and finally to sandwich bounds
-    only. Forced methods raise MethodMismatchError when the input is not
-    recognized for them.
+    only. The forced methods ``cut`` and ``mandatory`` walk only the
+    routes of their closed form and raise MethodMismatchError, with the
+    verdicts seen, when none applies; ``structural`` raises
+    NotP4SparseError on shapes it cannot solve.
     """
     require_meg_input(G)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     limit = DEFAULT_VERTEX_LIMIT if oracle_limit is None else oracle_limit
     t0 = time.perf_counter()
-    if method == "cut":
-        return solve_cut_based(G)
-    if method == "mandatory":
-        return solve_mandatory_based(G)
     if method == "structural":
         return solve_p4_structural(G)
-    if method == "oracle":
-        res = min_meg_bruteforce(G, trust_bounds=True, limit=limit)
-        return MegResult("none", "oracle", res.meg, res.witness,
-                         time.perf_counter() - t0, True)
     if method == "decomposition":
         witness = solve_by_cut_decomposition(G, oracle_limit=limit)
         return MegResult("none", "decomposition", len(witness), witness,
                          time.perf_counter() - t0, False)
-
-    if recognize_distance_hereditary(G) is not None:
-        witness = _cut_witness(G)
-        return MegResult("distance_hereditary", "cut_based", len(witness),
-                         witness, time.perf_counter() - t0, True)
-    if recognize_bipartite_permutation(G).verdict == "yes":
-        witness = _cut_witness(G)
-        return MegResult("bipartite_permutation", "cut_based", len(witness),
-                         witness, time.perf_counter() - t0, True)
-    if recognize_strongly_chordal(G) is not None:
-        witness = mandatory_vertices(G)
-        return MegResult("strongly_chordal", "mandatory_based", len(witness),
-                         witness, time.perf_counter() - t0, True)
-    if recognize_p4_sparse(G):
-        witness = mandatory_vertices(G)
-        return MegResult("p4_sparse", "mandatory_based", len(witness),
-                         witness, time.perf_counter() - t0, True)
-    if G.n <= limit:
-        res = min_meg_bruteforce(G, trust_bounds=True, limit=limit)
-        return MegResult("none", "oracle", res.meg, res.witness,
-                         time.perf_counter() - t0, True)
-    return MegResult("none", "none", None, None,
-                     time.perf_counter() - t0, False, bounds=bounds(G))
+    if method != "oracle":
+        res = _walk_routes(G, None if method == "auto" else f"{method}_based",
+                           t0)
+        if res is not None:
+            return res
+        if G.n > limit:
+            return MegResult("none", "none", None, None,
+                             time.perf_counter() - t0, False,
+                             bounds=bounds(G))
+    res = min_meg_bruteforce(G, trust_bounds=True, limit=limit)
+    return MegResult("none", "oracle", res.meg, res.witness,
+                     time.perf_counter() - t0, True)

@@ -15,7 +15,8 @@ from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
                       SelfLoopError, SpiderPartition, StrongOrdering,
                       build_graph, mandatory_vertices,
                       verify_spider_partition)
-from megsolve.graph_core import articulation_points
+from megsolve.graph_core import (articulation_points, connected_components,
+                                 induced_subgraph, vertex_set)
 from megsolve.monitoring import geodesic_edge_masks
 
 
@@ -315,6 +316,35 @@ def brute_articulation(G: Graph) -> list[int]:
         if len(_bfs_plain(sub, rest[0])) != len(rest):
             out.append(v)
     return out
+
+
+def split_walk_decompose(G: Graph, piece_solver) -> tuple[int, ...]:
+    """Cut decomposition by splitting pieces at their lowest cut vertex
+    until none is left, rebuilding each piece as an induced subgraph and
+    rerunning the articulation DFS on it (quadratic on long paths).
+
+    Pieces sit on an explicit stack in depth-first order. The answer is
+    every label some final piece's solution holds, minus every split
+    vertex. Shares ``articulation_points``, ``connected_components`` and
+    ``induced_subgraph`` with the package; only the walk is independent.
+    """
+    found: set[str] = set()
+    split: set[str] = set()
+    stack = [G]
+    while stack:
+        H = stack.pop()
+        aps = articulation_points(H)
+        if not aps:
+            found.update(H.labels_of(piece_solver(H)))
+            continue
+        v = aps[0]
+        split.add(H.labels[v])
+        rest = [u for u in range(H.n) if u != v]
+        shards = connected_components(induced_subgraph(H, rest))
+        for shard in reversed(shards):
+            members = sorted([rest[i] for i in shard] + [v])
+            stack.append(induced_subgraph(H, members))
+    return vertex_set(G.id_of(label) for label in found - split)
 
 
 def _induces_p4_sets(adj: dict[int, set[int]], quad) -> bool:

@@ -423,13 +423,13 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
 
 
 def test_decomposition_on_a_long_path(tmp_path, capsys):
-    text = "".join(f"v{i} v{i + 1}\n" for i in range(299))
+    text = "".join(f"v{i} v{i + 1}\n" for i in range(1199))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
         code, out, _ = run(capsys, "meg", "--method", "decomposition",
-                           write(tmp_path, "p300.edges", text))
+                           write(tmp_path, "p1200.edges", text))
     finally:
         sys.setrecursionlimit(limit)
     assert code == 0
-    assert json.loads(out)["result"]["witness"] == ["v0", "v299"]
+    assert json.loads(out)["result"]["witness"] == ["v0", "v1199"]

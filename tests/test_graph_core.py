@@ -16,10 +16,11 @@ from megsolve import (EdgeListParseError, Graph, INF, SelfLoopError,
                       gen_strongly_chordal, graph_from_edge_list,
                       induced_subgraph, is_connected, parse_edge_list,
                       spider_graph, vertex_set)
-from megsolve.graph_core import iter_bits
+from megsolve.graph_core import blocks, iter_bits
 
 from graphs_util import (all_connected_graphs, brute_articulation,
-                         complete_graph, cycle_graph, path_graph,
+                         complete_graph, connected_graph_classes,
+                         cycle_graph, path_graph,
                          random_connected_graph, star_graph, two_stage_build,
                          two_stage_parse_edge_list, two_stage_read)
 
@@ -134,6 +135,50 @@ def test_articulation_random_larger():
         n = rng.randrange(6, 13)
         G = random_connected_graph(rng, n, extra=rng.randrange(0, n))
         assert list(articulation_points(G)) == brute_articulation(G)
+
+
+def _assert_blocks_partition_edges(G):
+    """Blocks use every edge exactly once, each is connected without a cut
+    vertex of its own, and the cut vertices of G are exactly the vertices
+    in two or more blocks."""
+    found = blocks(G)
+    assert all(len(set(b)) == len(b) for b in found)
+    inside = sorted((u, v) for b in found for u in b for v in b
+                    if u < v and G.has_edge(u, v))
+    assert inside == G.edges()
+    for b in found:
+        H = induced_subgraph(G, b)
+        assert is_connected(H) and not brute_articulation(H)
+    count = [0] * G.n
+    for b in found:
+        for v in b:
+            count[v] += 1
+    assert articulation_points(G) == tuple(v for v in range(G.n)
+                                           if count[v] >= 2)
+
+
+def test_blocks_exhaustive_small():
+    for n in range(2, 8):
+        for G in connected_graph_classes(n):
+            _assert_blocks_partition_edges(G)
+
+
+def test_blocks_random_larger():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randrange(2, 40)
+        G = random_connected_graph(rng, n, extra=rng.randrange(0, n))
+        _assert_blocks_partition_edges(G)
+
+
+def test_blocks_known_shapes():
+    assert sorted(map(sorted, blocks(path_graph(4)))) == [[0, 1], [1, 2],
+                                                          [2, 3]]
+    assert sorted(map(sorted, blocks(cycle_graph(5)))) == [[0, 1, 2, 3, 4]]
+    bowtie = build_graph([("a", "b"), ("b", "c"), ("a", "c"),
+                          ("c", "d"), ("c", "e"), ("d", "e")])
+    assert sorted(map(sorted, blocks(bowtie))) == [[0, 1, 2], [2, 3, 4]]
+    assert blocks(build_graph([], vertices=["solo"])) == ()
 
 
 def test_articulation_known_shapes():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import megsolve.solvers
 from megsolve import (MethodMismatchError, NotConnectedError,
                       NotP4SparseError, build_graph,
                       cut_vertices_via_strong_ordering, ecc_le2_exists,
@@ -15,9 +16,10 @@ from megsolve import (MethodMismatchError, NotConnectedError,
                       spider_graph)
 from megsolve.graph_core import articulation_points
 
-from graphs_util import (all_connected_graphs, complete_graph, cycle_graph,
-                         path_graph, random_connected_graph, star_graph,
-                         with_universal)
+from graphs_util import (all_connected_graphs, complete_graph,
+                         connected_graph_classes, cycle_graph, path_graph,
+                         random_connected_graph, split_walk_decompose,
+                         star_graph, with_universal)
 
 
 def domino():
@@ -78,6 +80,64 @@ def test_mandatory_based_on_p4_sparse_not_sc():
 def test_mandatory_based_mismatch():
     with pytest.raises(MethodMismatchError):
         solve_mandatory_based(cycle_graph(5))
+
+
+@pytest.mark.parametrize("G, bp", [(cycle_graph(5), "no"),
+                                   (cycle_graph(12), "unknown")])
+def test_mismatch_messages_list_each_verdict(G, bp):
+    with pytest.raises(MethodMismatchError) as err:
+        solve(G, method="cut")
+    assert str(err.value) == (
+        "cut-based solving needs a distance-hereditary or bipartite "
+        "permutation graph (distance-hereditary: no, bipartite "
+        f"permutation: {bp})")
+    with pytest.raises(MethodMismatchError) as err:
+        solve(G, method="mandatory")
+    assert str(err.value) == (
+        "mandatory-based solving needs a strongly chordal or P4-sparse "
+        "graph (strongly chordal: no, P4-sparse: no)")
+
+
+def test_forced_methods_follow_the_auto_route():
+    """Forcing the closed form auto mode picked gives the same answer;
+    where auto mode picks neither, both forced methods refuse."""
+    forced = {"cut_based": "cut", "mandatory_based": "mandatory"}
+    for n in range(2, 8):
+        for G in connected_graph_classes(n):
+            auto = solve(G)
+            if auto.method in forced:
+                res = solve(G, method=forced[auto.method])
+                assert (res.class_used, res.method, res.meg, res.witness) \
+                    == (auto.class_used, auto.method, auto.meg, auto.witness)
+                continue
+            for method in forced.values():
+                with pytest.raises(MethodMismatchError):
+                    solve(G, method=method)
+
+
+def test_auto_mode_calls_the_route_functions_by_name(monkeypatch):
+    """Routes read recognizers and closed forms from the module namespace
+    on every call, so rebinding a name there (as a tracer does) is seen."""
+    calls = []
+    for name in ("recognize_distance_hereditary",
+                 "recognize_bipartite_permutation",
+                 "recognize_strongly_chordal", "recognize_p4_sparse",
+                 "mandatory_vertices", "non_cut_vertices"):
+        original = getattr(megsolve.solvers, name)
+
+        def spy(G, name=name, original=original):
+            calls.append(name)
+            return original(G)
+
+        monkeypatch.setattr(megsolve.solvers, name, spy)
+    assert solve(three_sun()).class_used == "p4_sparse"
+    assert calls == ["recognize_distance_hereditary",
+                     "recognize_bipartite_permutation",
+                     "recognize_strongly_chordal", "recognize_p4_sparse",
+                     "mandatory_vertices"]
+    calls.clear()
+    assert solve(path_graph(4)).class_used == "distance_hereditary"
+    assert calls == ["recognize_distance_hereditary", "non_cut_vertices"]
 
 
 def test_closed_forms_match_oracle_exhaustively():
@@ -280,6 +340,44 @@ def test_decomposition_custom_piece_solver():
     witness = solve_by_cut_decomposition(G, piece_solver=solver)
     assert witness == (0, 3)  # cut vertices dropped from the union
     assert calls and all(c >= 2 for c in calls)
+
+
+def _recording(solver):
+    """The piece solver ``solver`` plus the list of pieces it was given,
+    each as (labels, adjacency)."""
+    pieces = []
+
+    def record(H):
+        pieces.append((H.labels, H.adj))
+        return solver(H)
+
+    return record, pieces
+
+
+def _assert_blocks_match_split_walk(G):
+    for solver in (lambda H: tuple(range(0, H.n, 2)),
+                   lambda H: solve(H).witness):
+        record, pieces = _recording(solver)
+        witness = solve_by_cut_decomposition(G, piece_solver=record)
+        ref_record, ref_pieces = _recording(solver)
+        assert witness == split_walk_decompose(G, ref_record)
+        assert sorted(pieces) == sorted(ref_pieces)
+    # The default piece solver is the last one above.
+    assert solve_by_cut_decomposition(G) == witness
+
+
+def test_decomposition_matches_split_walk_exhaustively():
+    for n in range(2, 8):
+        for G in connected_graph_classes(n):
+            _assert_blocks_match_split_walk(G)
+
+
+def test_decomposition_matches_split_walk_random():
+    rng = random.Random(9)
+    for _ in range(500):
+        n = rng.randrange(2, 13)
+        G = random_connected_graph(rng, n, extra=rng.randrange(0, n))
+        _assert_blocks_match_split_walk(G)
 
 
 # ---------------------------------------------------------------------------
