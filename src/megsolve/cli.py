@@ -23,7 +23,7 @@ from .errors import (EdgeListParseError, GenerationError, LimitExceededError,
                      MethodMismatchError, NotConnectedError, SelfLoopError)
 from .generators import GenSpec, generate
 from .graph_core import Graph, articulation_points, format_edge_list, \
-    read_graph_file
+    is_connected, read_graph_file
 from .monitoring import bounds, is_meg_set, mandatory_vertices
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
 from .recognizers import (detect_spider, recognize_bipartite_permutation,
@@ -244,8 +244,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _require_connected(G: Graph, allow_single: bool = False) -> None:
-    from .graph_core import is_connected
-
     if G.n == 0:
         raise NotConnectedError("graph has no vertices")
     if not allow_single and G.n < 2:

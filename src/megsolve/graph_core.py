@@ -314,8 +314,12 @@ def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
     if ids[0] < 0 or ids[-1] >= G.n:
         raise ValueError("vertex id out of range")
     remap = {old: new for new, old in enumerate(ids)}
-    edges = [(remap[u], remap[v])
-             for u in ids for v in G.adj[u] if u < v and v in remap]
+    members_mask = sum(1 << u for u in ids)
+    # Each member reads only its neighbors inside the set, so a vertex in
+    # many small subgraphs (a cut vertex in many blocks) costs little in each.
+    masks = G.adj_masks
+    edges = [(remap[u], remap[v]) for u in ids
+             for v in iter_bits(masks[u] & (members_mask >> (u + 1) << (u + 1)))]
     return Graph([G.labels[i] for i in ids], edges)
 
 

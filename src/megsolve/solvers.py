@@ -31,7 +31,7 @@ from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
 METHODS = ("auto", "cut", "mandatory", "structural", "oracle", "decomposition")
 
 # (class, display name, closed form, verdict), in the order auto mode tries
-# them. A verdict is "yes", "no" or "unknown". Recognizers, like the
+# them. A verdict is "yes" or "no". Recognizers, like the
 # closed forms in ``_walk_routes``, are looked up by module-global name on
 # each call, so a tracer that rebinds those names sees every call.
 ROUTES = (

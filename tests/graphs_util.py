@@ -318,6 +318,16 @@ def brute_articulation(G: Graph) -> list[int]:
     return out
 
 
+def scan_induced_subgraph(G: Graph, members) -> Graph:
+    """The package's former ``induced_subgraph``, which walks every
+    member's whole adjacency list. Reference for ``induced_subgraph``."""
+    ids = vertex_set(members)
+    remap = {old: new for new, old in enumerate(ids)}
+    edges = [(remap[u], remap[v])
+             for u in ids for v in G.adj[u] if u < v and v in remap]
+    return Graph([G.labels[i] for i in ids], edges)
+
+
 def split_walk_decompose(G: Graph, piece_solver) -> tuple[int, ...]:
     """Cut decomposition by splitting pieces at their lowest cut vertex
     until none is left, rebuilding each piece as an induced subgraph and

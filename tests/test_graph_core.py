@@ -21,7 +21,8 @@ from megsolve.graph_core import blocks, iter_bits
 from graphs_util import (all_connected_graphs, brute_articulation,
                          complete_graph, connected_graph_classes,
                          cycle_graph, path_graph,
-                         random_connected_graph, star_graph, two_stage_build,
+                         random_connected_graph, scan_induced_subgraph,
+                         star_graph, two_stage_build,
                          two_stage_parse_edge_list, two_stage_read)
 
 
@@ -197,6 +198,18 @@ def test_induced_subgraph_keeps_labels():
         induced_subgraph(G, [])
     with pytest.raises(ValueError):
         induced_subgraph(G, [0, 9])
+    rng = random.Random(309)
+    for make in (lambda s: gen_distance_hereditary(40, s),
+                 lambda s: gen_bipartite_permutation(15, 25, s),
+                 lambda s: gen_strongly_chordal(40, s),
+                 lambda s: gen_p4_sparse(40, s),
+                 lambda s: gen_random_connected(40, 80, s)):
+        for seed in range(20):
+            G = make(seed)
+            members = rng.sample(range(G.n), rng.randint(1, G.n))
+            H = induced_subgraph(G, members)
+            ref = scan_induced_subgraph(G, members)
+            assert H == ref and H.edges() == ref.edges()
 
 
 def test_complement_and_co_components():

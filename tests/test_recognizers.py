@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
-                      PruneSequence, PruneStep, SEO, build_graph,
-                      co_components, complement, connected_components,
+                      PruneSequence, PruneStep, SEO, articulation_points,
+                      build_graph, co_components, complement,
+                      connected_components, cut_vertices_via_strong_ordering,
                       detect_spider, gen_bipartite_permutation,
                       gen_bipartite_permutation_with_ordering,
                       gen_distance_hereditary, gen_p4_sparse,
                       gen_random_connected, gen_strongly_chordal, generate,
-                      is_simple, recognize_bipartite_permutation,
+                      is_connected, is_simple,
+                      recognize_bipartite_permutation,
                       recognize_distance_hereditary, recognize_p4_sparse,
                       recognize_strongly_chordal, spider_graph,
                       strong_ordering_from_orders, verify_prune_sequence,
@@ -402,10 +404,11 @@ def test_bp_subdivided_claw_is_no():
     assert recognize_bipartite_permutation(subdivided_claw()).verdict == "no"
 
 
-def test_bp_large_even_cycle_is_unknown():
-    res = recognize_bipartite_permutation(cycle_graph(12))
-    assert res.verdict == "unknown"
-    assert res.ordering is None
+def test_bp_large_even_cycle_is_no():
+    for n in (10, 12, 200):
+        res = recognize_bipartite_permutation(cycle_graph(n))
+        assert res.verdict == "no"
+        assert res.ordering is None
 
 
 def test_bp_yes_comes_with_verified_ordering():
@@ -436,6 +439,71 @@ def test_bp_matches_definition_exhaustive_small():
             res = recognize_bipartite_permutation(G)
             assert res.verdict in ("yes", "no")
             assert (res.verdict == "yes") == brute_bipartite_permutation(G)
+    # Every labelled connected bipartite graph with sides 0..p-1 and
+    # p..n-1, p <= n - p, n <= 7.
+    checked = 0
+    for n in range(2, 8):
+        for p in range(1, n // 2 + 1):
+            pairs = [(i, j) for i in range(p) for j in range(p, n)]
+            for bits in range(1 << len(pairs)):
+                G = _bipartite(p, n - p, [e for k, e in enumerate(pairs)
+                                          if bits >> k & 1])
+                if not is_connected(G):
+                    continue
+                checked += 1
+                res = recognize_bipartite_permutation(G)
+                assert (res.verdict == "yes") == brute_bipartite_permutation(G), (
+                    sorted(G.edges()))
+                if res.verdict == "yes":
+                    assert verify_strong_ordering(G, res.ordering)
+    assert checked == 2306
+
+
+def _shuffled_ids(G: Graph, rng) -> Graph:
+    """The same labelled graph with its vertex ids permuted at random."""
+    new_id = list(range(G.n))
+    rng.shuffle(new_id)
+    labels = [None] * G.n
+    for v, label in enumerate(G.labels):
+        labels[new_id[v]] = label
+    return Graph(labels, [(new_id[u], new_id[v]) for u, v in G.edges()])
+
+
+def test_bp_decides_shuffled_generated_graphs():
+    """Members above the former exhaustive range, whatever their ids: the
+    ordering found replays, and its cut test matches the articulation
+    points on the interim vertices."""
+    rng = random.Random(1987)
+    for i in range(60):
+        p, q = rng.randint(3, 30), rng.randint(3, 30)
+        if p + q <= 10:
+            q += 10
+        G = _shuffled_ids(gen_bipartite_permutation(p, q, seed=i), rng)
+        res = recognize_bipartite_permutation(G)
+        assert res.verdict == "yes", (p, q, i)
+        so = res.ordering
+        assert verify_strong_ordering(G, so)
+        interim = set(so.x_order[1:-1]) | set(so.y_order[1:-1])
+        assert cut_vertices_via_strong_ordering(G, so) == tuple(
+            sorted(set(articulation_points(G)) & interim))
+
+
+def test_bp_member_needing_a_start_beyond_the_double_sweep():
+    """Neither double-sweep endpoint (v1, then v0) starts a strong
+    ordering here; a later start does."""
+    G = _bipartite(4, 4, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5),
+                          (1, 6), (1, 7), (2, 5), (3, 4)])
+    res = recognize_bipartite_permutation(G)
+    assert res.verdict == "yes"
+    assert verify_strong_ordering(G, res.ordering)
+    assert res.ordering.x_order[0] not in (0, 1)
+
+
+def test_bp_decides_distance_hereditary_member():
+    G = gen_distance_hereditary(12, 56)
+    res = recognize_bipartite_permutation(G)
+    assert res.verdict == "yes"
+    assert verify_strong_ordering(G, res.ordering)
 
 
 def test_bp_matches_definition_random():

@@ -83,7 +83,7 @@ def test_mandatory_based_mismatch():
 
 
 @pytest.mark.parametrize("G, bp", [(cycle_graph(5), "no"),
-                                   (cycle_graph(12), "unknown")])
+                                   (cycle_graph(12), "no")])
 def test_mismatch_messages_list_each_verdict(G, bp):
     with pytest.raises(MethodMismatchError) as err:
         solve(G, method="cut")
