@@ -51,6 +51,15 @@ GEN_ALIASES = {
     "random": "random",
 }
 
+# The size flags each generator class reads; `gen` rejects the others.
+GEN_FLAGS = {
+    "distance_hereditary": ("n",),
+    "p4_sparse": ("n",),
+    "strongly_chordal": ("n",),
+    "bipartite_permutation": ("p", "q"),
+    "random": ("n", "m"),
+}
+
 
 def _oracle_limit() -> int:
     raw = os.environ.get(ORACLE_LIMIT_ENV)
@@ -188,19 +197,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     cls = GEN_ALIASES.get(args.cls, args.cls)
+    if cls not in GEN_FLAGS:
+        raise GenerationError(f"unknown generator class {args.cls!r}")
+    used = GEN_FLAGS[cls]
+    if any(getattr(args, name) is None for name in used):
+        flags = " and ".join(f"--{name}" for name in used)
+        verb = "is" if len(used) == 1 else "are"
+        raise GenerationError(f"{flags} {verb} required for class {args.cls}")
+    for name in ("n", "p", "q", "m"):
+        if name not in used and getattr(args, name) is not None:
+            raise GenerationError(f"--{name} is not used by class {args.cls}")
     spec = GenSpec(cls=cls, seed=args.seed, n=args.n, p=args.p, q=args.q,
                    m=args.m)
-    if cls in ("distance_hereditary", "p4_sparse", "strongly_chordal"):
-        if spec.n is None:
-            raise GenerationError(f"--n is required for class {args.cls}")
-    elif cls == "bipartite_permutation":
-        if spec.p is None or spec.q is None:
-            raise GenerationError(f"--p and --q are required for class {args.cls}")
-    elif cls == "random":
-        if spec.n is None or spec.m is None:
-            raise GenerationError(f"--n and --m are required for class {args.cls}")
-    else:
-        raise GenerationError(f"unknown generator class {args.cls!r}")
     G = generate(spec)
     text = format_edge_list(G, header_comments=[spec.comment()])
     if args.out:

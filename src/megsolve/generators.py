@@ -5,12 +5,21 @@ seeded per call and consumed in a fixed order, so an identical GenSpec
 always yields a bit-identical graph. Construction follows each class's
 defining extension rule, and every emitted instance is certified by the
 matching recognizer in the test suite.
+
+Generation takes O(n + m) time and memory, up to log factors from sorting
+and bisection: random graphs draw their extra edges by index from a lazy
+sequence of the non-tree pairs, and interval graphs find each interval's
+neighbours by bisection. ``tests/graphs_util.py`` keeps the quadratic
+versions as references, and the tests pin the outputs to them.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import combinations, filterfalse
 
 from .errors import GenerationError
 from .graph_core import Graph
@@ -211,11 +220,44 @@ def gen_strongly_chordal(n: int, seed: int, style: str = "interval",
         b = a + length
         reach = b if reach is None else max(reach, b)
         intervals.append((a, b))
-    edges = [(i, j)
-             for i in range(n) for j in range(i + 1, n)
-             if intervals[j][0] <= intervals[i][1]
-             and intervals[i][0] <= intervals[j][1]]
+    # Starts never decrease (each is the minimum of the sorted raw start and
+    # the running reach), so j > i meets i iff starts[j] <= end of i.
+    starts = [a for a, _ in intervals]
+    edges = [(i, j) for i, (_, b) in enumerate(intervals)
+             for j in range(i + 1, bisect_right(starts, b))]
     return Graph(_labels(n), edges)
+
+
+class _SparePairs(Sequence):
+    """The pairs u < v of range(n) in lexicographic order, minus ``taken``.
+
+    Indexing (0 to len - 1) maps a position to its pair by arithmetic, so
+    ``rng.sample`` draws from the n(n-1)/2 pairs without listing them.
+    """
+
+    def __init__(self, n: int, taken: set[tuple[int, int]]) -> None:
+        self.n = n
+        self.taken = taken
+        # Pair (u, v) has rank row[u] + v - u - 1; row[u] = u(2n-u-1)/2.
+        self.row = [u * (2 * n - u - 1) // 2 for u in range(n)]
+        skipped = sorted(self.row[u] + v - u - 1 for u, v in taken)
+        # The k-th taken rank has skipped[k] - k free ranks below it.
+        self.free_below = [r - k for k, r in enumerate(skipped)]
+        self.size = n * (n - 1) // 2 - len(skipped)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> tuple[int, int]:
+        if not 0 <= j < self.size:
+            raise IndexError("pair index out of range")
+        rank = j + bisect_right(self.free_below, j)
+        u = bisect_right(self.row, rank) - 1
+        return u, rank - self.row[u] + u + 1
+
+    def __iter__(self):
+        return filterfalse(self.taken.__contains__,
+                           combinations(range(self.n), 2))
 
 
 def gen_random_connected(n: int, m: int, seed: int) -> Graph:
@@ -227,9 +269,7 @@ def gen_random_connected(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"need n-1 <= m <= {max_m} for n={n}, got m={m}")
     rng = random.Random(seed)
     edges = {(rng.randrange(v), v) for v in range(1, n)}
-    spare = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if (u, v) not in edges]
-    edges.update(rng.sample(spare, m - len(edges)))
+    edges.update(rng.sample(_SparePairs(n, edges), m - len(edges)))
     return Graph(_labels(n), sorted(edges))
 
 

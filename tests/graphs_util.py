@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from collections import deque
 
 from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
@@ -771,3 +772,39 @@ def two_stage_read(text: str):
     """``two_stage_build`` over ``two_stage_parse_edge_list``."""
     edges, declared = two_stage_parse_edge_list(text)
     return two_stage_build(edges, vertices=declared)
+
+
+def quadratic_random_connected(n: int, m: int, seed: int) -> Graph:
+    """Reference for ``gen_random_connected``: the same draws from a listed
+    population of every non-tree pair, O(n^2) time and memory."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    spare = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u, v) not in edges]
+    edges.update(rng.sample(spare, m - len(edges)))
+    return Graph([f"v{i}" for i in range(n)], sorted(edges))
+
+
+def quadratic_interval_graph(n: int, seed: int,
+                             max_len: int | None = None) -> Graph:
+    """Reference for ``gen_strongly_chordal(style="interval")``: the same
+    intervals, every pair tested for overlap, O(n^2) time."""
+    rng = random.Random(seed)
+    if max_len is None:
+        max_len = max(2, n // 3)
+    span = 3 * n
+    raw = sorted((rng.randint(0, span), rng.randint(1, max_len))
+                 for _ in range(n))
+    intervals: list[tuple[int, int]] = []
+    reach = None
+    for a, length in raw:
+        if reach is not None and a > reach:
+            a = reach
+        b = a + length
+        reach = b if reach is None else max(reach, b)
+        intervals.append((a, b))
+    edges = [(i, j)
+             for i in range(n) for j in range(i + 1, n)
+             if intervals[j][0] <= intervals[i][1]
+             and intervals[i][0] <= intervals[j][1]]
+    return Graph([f"v{i}" for i in range(n)], edges)

@@ -282,6 +282,17 @@ def test_gen_class_aliases_and_missing_params(capsys):
     assert "--p and --q" in err
     code, _, err = run(capsys, "gen", "--class", "nosuch", "--n", "4")
     assert code == 2
+    for argv, flag in ((("--class", "dh", "--n", "6", "--m", "50"), "--m"),
+                       (("--class", "dh", "--n", "6", "--p", "3"), "--p"),
+                       (("--class", "bipperm", "--p", "2", "--q", "2",
+                         "--n", "99"), "--n"),
+                       (("--class", "random", "--n", "5", "--m", "6",
+                         "--q", "1"), "--q"),
+                       (("--class", "stronglychordal", "--n", "5",
+                         "--m", "4"), "--m")):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert f"{flag} is not used by class" in err
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from megsolve import (GenSpec, gen_bipartite_permutation,
+from megsolve import (GenSpec, format_edge_list, gen_bipartite_permutation,
                       gen_bipartite_permutation_with_ordering,
                       gen_distance_hereditary, gen_p4_sparse,
                       gen_random_connected, gen_strongly_chordal, generate,
@@ -10,8 +11,11 @@ from megsolve import (GenSpec, gen_bipartite_permutation,
                       recognize_p4_sparse, recognize_strongly_chordal,
                       spider_graph, verify_spider_partition,
                       verify_strong_ordering)
+from megsolve import generators
+from megsolve.generators import _SparePairs
 
-from graphs_util import brute_p4_sparse
+from graphs_util import (brute_p4_sparse, quadratic_interval_graph,
+                         quadratic_random_connected)
 
 
 def test_same_spec_same_graph():
@@ -100,6 +104,89 @@ def test_random_connected_respects_n_and_m():
         gen_random_connected(5, 3, 0)
     with pytest.raises(ValueError):
         gen_random_connected(4, 7, 0)
+
+
+def _random_cases():
+    for n in (1, 2, 3, 4, 5, 7, 10, 16, 30, 61):
+        max_m = n * (n - 1) // 2
+        for m in sorted({n - 1, (n - 1 + max_m) // 2, max_m,
+                         min(max_m, n + 3)}):
+            for seed in range(6):
+                yield n, m, seed
+    for seed in range(3):
+        yield 1000, 2000, seed
+    yield 1000, 1500, 7
+
+
+def test_random_connected_matches_quadratic_reference(monkeypatch):
+    # random.sample lists a small population and indexes a large one;
+    # record which path each draw took so both are known to be covered.
+    paths = set()
+
+    class Recording(_SparePairs):
+        def __getitem__(self, j):
+            paths.add("index")
+            return super().__getitem__(j)
+
+        def __iter__(self):
+            paths.add("list")
+            return super().__iter__()
+
+    monkeypatch.setattr(generators, "_SparePairs", Recording)
+    for n, m, seed in _random_cases():
+        got = format_edge_list(gen_random_connected(n, m, seed))
+        assert got == format_edge_list(quadratic_random_connected(n, m, seed)), \
+            (n, m, seed)
+    assert paths == {"index", "list"}
+
+
+def test_interval_graphs_match_quadratic_reference():
+    cases = [(n, seed, None) for n in (1, 2, 3, 4, 5, 8, 13, 40, 97)
+             for seed in range(12)]
+    cases += [(30, seed, max_len) for seed in range(4)
+              for max_len in (1, 2, 30, 200)]
+    cases += [(1000, seed, None) for seed in range(2)]
+    for n, seed, max_len in cases:
+        got = gen_strongly_chordal(n, seed, max_len=max_len)
+        want = quadratic_interval_graph(n, seed, max_len=max_len)
+        assert format_edge_list(got) == format_edge_list(want), (n, seed, max_len)
+
+
+def test_spare_pairs_index_agrees_with_iteration():
+    rng = random.Random(3)
+    for n in (1, 2, 3, 6, 25):
+        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for taken in ((), all_pairs, all_pairs[:1], all_pairs[-1:],
+                      rng.sample(all_pairs, len(all_pairs) // 3)):
+            seq = _SparePairs(n, set(taken))
+            listed = list(seq)
+            assert listed == [p for p in all_pairs if p not in set(taken)]
+            assert len(seq) == len(listed)
+            assert listed == [seq[i] for i in range(len(seq))]
+            for bad in (-1, len(seq)):
+                with pytest.raises(IndexError):
+                    seq[bad]
+
+
+def test_spare_pairs_sample_like_a_list():
+    for n, tree_seed, k in ((6, 1, 4), (9, 2, 20), (80, 3, 12), (80, 4, 200),
+                             (80, 5, 2000)):
+        rng = random.Random(tree_seed)
+        seq = _SparePairs(n, {(rng.randrange(v), v) for v in range(1, n)})
+        for seed in range(5):
+            a, b = random.Random(seed), random.Random(seed)
+            assert a.sample(seq, k) == b.sample(list(seq), k)
+            assert a.getstate() == b.getstate()
+
+
+def test_random_connected_memory_is_linear():
+    tracemalloc.start()
+    try:
+        gen_random_connected(2000, 4000, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_spider_graph_fixture_structure():
