@@ -214,13 +214,16 @@ class _Pruning:
 
 def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
     """Recheck every pruning step against the shrinking graph."""
-    if len(seq.steps) != G.n - 1:
+    if len(seq.steps) != G.n - 1 or not 0 <= seq.final_vertex < G.n:
         return False
     masks = G.adj_masks
     alive = (1 << G.n) - 1
     for step in seq.steps:
         v, w = step.vertex, step.partner
-        if v == w or not (alive >> v) & 1 or not (alive >> w) & 1:
+        # Ids at or above n are never alive; a negative id cannot be shifted.
+        if v == w or v < 0 or w < 0:
+            return False
+        if not (alive >> v) & 1 or not (alive >> w) & 1:
             return False
         nb_v = masks[v] & alive
         nb_w = masks[w] & alive
@@ -308,9 +311,8 @@ def verify_spider_partition(G: Graph, s_set, c_set, r_set) -> SpiderPartition | 
     l = len(S)
     if l < 2 or len(C) != l:
         return None
-    all_ids = list(S) + list(C) + list(R)
-    if len(set(all_ids)) != len(all_ids) or len(all_ids) != G.n:
-        return None
+    if sorted(S + C + R) != list(range(G.n)):
+        return None  # not a partition of the vertex ids
     masks = G.adj_masks
     s_mask = sum(1 << v for v in S)
     c_mask = sum(1 << v for v in C)
@@ -521,7 +523,7 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
     xs, ys = set(so.x_order), set(so.y_order)
     if len(so.x_order) != len(xs) or len(so.y_order) != len(ys):
         raise ValueError("orders repeat vertices")
-    if xs & ys or len(xs) + len(ys) != G.n:
+    if xs & ys or xs | ys != set(range(G.n)):
         raise ValueError("orders do not partition the vertex set")
     for side in (so.x_order, so.y_order):
         for v in side:

@@ -1,14 +1,13 @@
 """MEG-number solvers dispatched by recognized graph class.
 
-Two closed forms exist: cut-based (witness = all non-cut vertices; valid
-for distance-hereditary and bipartite permutation graphs) and
-mandatory-based (witness = the mandatory vertices; valid for strongly
-chordal and P4-sparse graphs). ``ROUTES`` pairs each of those four
-classes with its recognizer and closed form; auto mode and the forced
-``cut`` and ``mandatory`` methods all walk it. A structural solver
-handles P4-sparse graphs by case analysis on the complement, and a
-decomposition solver merges solutions of the blocks (biconnected
-components) without claiming minimality.
+One closed form serves every exact route: on distance-hereditary,
+bipartite permutation, strongly chordal and P4-sparse graphs, and on the
+join and spider shapes, the minimum MEG set is the set M of mandatory
+vertices. ``ROUTES`` pairs each class with its recognizer for auto mode
+and the forced ``cut`` and ``mandatory`` methods. The method labels
+``cut_based``, ``mandatory_based`` and ``p4_structural`` are kept for
+report compatibility. A decomposition solver merges solutions of the
+blocks (biconnected components) without claiming minimality.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import MethodMismatchError, NotConnectedError, NotP4SparseError
-from .graph_core import (Graph, articulation_points, bfs_distances, blocks,
-                         co_components, induced_subgraph, is_connected,
-                         non_cut_vertices, vertex_set)
+from .errors import MethodMismatchError, NotP4SparseError
+from .graph_core import (Graph, articulation_points, blocks, co_components,
+                         induced_subgraph, vertex_set)
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
 from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
@@ -30,10 +28,10 @@ from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
 
 METHODS = ("auto", "cut", "mandatory", "structural", "oracle", "decomposition")
 
-# (class, display name, closed form, verdict), in the order auto mode tries
-# them. A verdict is "yes" or "no". Recognizers, like the
-# closed forms in ``_walk_routes``, are looked up by module-global name on
-# each call, so a tracer that rebinds those names sees every call.
+# (class, display name, method label, verdict), in the order auto mode
+# tries them. A verdict is "yes" or "no". Recognizers, like
+# ``mandatory_vertices`` in ``_walk_routes``, are looked up by module-global
+# name on each call, so a tracer that rebinds those names sees every call.
 ROUTES = (
     ("distance_hereditary", "distance-hereditary", "cut_based",
      lambda G: "no" if recognize_distance_hereditary(G) is None else "yes"),
@@ -61,20 +59,20 @@ class MegResult:
 
 def _walk_routes(G: Graph, form: str | None, t0: float) -> MegResult | None:
     """Solve G by the first route whose verdict is "yes", trying every
-    route (``form`` None) or only those of closed form ``form``.
+    route (``form`` None) or only those labelled ``form``. Every route
+    answers with the mandatory vertices.
 
     With no "yes", auto mode gets None and a forced closed form raises
     ``MethodMismatchError`` listing each verdict it saw.
     """
     seen = []
-    for cls, name, closed_form, verdict in ROUTES:
-        if form is not None and closed_form != form:
+    for cls, name, label, verdict in ROUTES:
+        if form is not None and label != form:
             continue
         answer = verdict(G)
         if answer == "yes":
-            witness = (non_cut_vertices(G) if closed_form == "cut_based"
-                       else mandatory_vertices(G))
-            return MegResult(cls, closed_form, len(witness), witness,
+            witness = mandatory_vertices(G)
+            return MegResult(cls, label, len(witness), witness,
                              time.perf_counter() - t0, True)
         seen.append((name, answer))
     if form is None:
@@ -86,10 +84,8 @@ def _walk_routes(G: Graph, form: str | None, t0: float) -> MegResult | None:
 
 
 def solve_cut_based(G: Graph) -> MegResult:
-    """Minimum MEG set = all non-cut vertices.
-
-    Valid on distance-hereditary and bipartite permutation graphs; the
-    input must be recognized as one of the two.
+    """Minimum MEG set of a distance-hereditary or bipartite permutation
+    graph: its non-cut vertices, which there equal the mandatory vertices.
     """
     require_meg_input(G)
     return _walk_routes(G, "cut_based", time.perf_counter())
@@ -105,60 +101,22 @@ def solve_mandatory_based(G: Graph) -> MegResult:
     return _walk_routes(G, "mandatory_based", time.perf_counter())
 
 
-def ecc_le2_exists(G: Graph) -> tuple[bool, int | None]:
-    """Does some vertex reach every other vertex within two hops?"""
-    if G.n >= 2 and not is_connected(G):
-        raise NotConnectedError("eccentricity check needs a connected graph")
-    for u in range(G.n):
-        if max(bfs_distances(G, u)) <= 2:
-            return True, u
-    return False, None
-
-
 def solve_p4_structural(G: Graph) -> MegResult:
-    """Case analysis on the complement for P4-sparse-shaped graphs.
+    """Minimum MEG set of a join, or of a spider found by the degree rules
+    (``spider_by_degrees``): the mandatory vertices.
 
-    With k >= 2 co-components the graph is a join and the join rules give
-    the answer outright; those rules hold for arbitrary connected graphs,
-    so this route also solves join-shaped inputs that are not P4-sparse
-    (class_used then reports "p4_shape"). With a connected complement
-    the graph must be a spider (legs plus head), otherwise it is not
-    P4-sparse and the solver refuses. The spider comes from the degree
-    rules alone (``spider_by_degrees``): legs and body of a spider are
-    fixed by their degrees, so no exhaustive search is needed.
+    Other graphs are refused. The join and spider cases hold for any core
+    or head, so shapes that are not P4-sparse are solved too (class_used
+    "p4_shape").
     """
     require_meg_input(G)
     t0 = time.perf_counter()
+    if len(co_components(G)) < 2 and spider_by_degrees(G) is None:
+        raise NotP4SparseError(
+            "connected complement but no spider partition; "
+            "graph is not P4-sparse")
     cls = "p4_sparse" if recognize_p4_sparse(G) else "p4_shape"
-    everyone = tuple(range(G.n))
-    cos = co_components(G)
-    witness: tuple[int, ...]
-    if len(cos) >= 2:
-        singles = [c for c in cos if len(c) == 1]
-        nontrivial = [c for c in cos if len(c) > 1]
-        if len(nontrivial) >= 2 or len(singles) >= 2:
-            # Join of two nontrivial graphs, or two universal vertices:
-            # every vertex is mandatory.
-            witness = everyone
-        else:
-            v = singles[0][0]
-            core = induced_subgraph(G, nontrivial[0])
-            rest = tuple(x for x in everyone if x != v)
-            if not is_connected(core):
-                witness = rest
-            else:
-                near, _ = ecc_le2_exists(core)
-                witness = everyone if near else rest
-    else:
-        part = spider_by_degrees(G)
-        if part is None:
-            raise NotP4SparseError(
-                "connected complement but no spider partition; "
-                "graph is not P4-sparse")
-        if part.kind == "thin" or len(part.c_vertices) == 2:
-            witness = vertex_set(part.s_vertices + part.r_vertices)
-        else:
-            witness = everyone
+    witness = mandatory_vertices(G)
     return MegResult(cls, "p4_structural", len(witness), witness,
                      time.perf_counter() - t0, True)
 

@@ -102,6 +102,16 @@ def test_dh_tampered_certificates_rejected():
         (PruneStep(seq.steps[0].vertex, "pendant", seq.steps[0].vertex),)
         + seq.steps[1:], seq.final_vertex)
     assert not verify_prune_sequence(G, self_partner)
+    # ids outside 0..n-1 are rejected, not shifted by or used as indices
+    first = seq.steps[0]
+    for vertex, partner in ((-1, first.partner), (first.vertex, -1),
+                            (G.n, first.partner), (first.vertex, G.n)):
+        out_of_range = PruneSequence(
+            (PruneStep(vertex, first.kind, partner),) + seq.steps[1:],
+            seq.final_vertex)
+        assert not verify_prune_sequence(G, out_of_range)
+    for final in (-1, G.n):
+        assert not verify_prune_sequence(G, PruneSequence(seq.steps, final))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -325,6 +335,13 @@ def test_verify_spider_rejects_broken_shapes():
     jds = {lab: J.id_of(lab) for lab in J.labels}
     assert verify_spider_partition(
         J, [jds["s1"], jds["s2"]], [jds["c1"], jds["c2"]], [jds["r1"]]) is None
+    # head ids outside 0..n-1: vertex 6 would go unchecked, or an index
+    # error would escape
+    K = spider_graph(3, "thin", head=1)
+    assert verify_spider_partition(K, (0, 1, 2), (3, 4, 5), (6,)) is not None
+    for head in ((-1,), (7,)):
+        assert verify_spider_partition(K, (0, 1, 2), (3, 4, 5), head) is None
+    assert verify_spider_partition(K, (0, 1, 2), (3, 4, -1), (6,)) is None
 
 
 def test_detect_spider_beyond_exhaustive_range():
@@ -647,6 +664,11 @@ def test_strong_ordering_certificate_faults():
     listed = dataclasses.replace(so, first={**so.first, 4: 1},
                                  last={**so.last, 4: 1})
     assert _agree(G, listed) is ValueError
+    # ids outside 0..n-1 do not stand in for a vertex (-1 would wrap to 4)
+    for stray in (-1, 5):
+        with pytest.raises(ValueError):
+            verify_strong_ordering(G, dataclasses.replace(
+                so, y_order=(2, 3, stray)))
     # orders that fail decide False before the certificate is read
     crossed = strong_ordering_from_orders(G, (1, 0), (2, 3, 4))
     assert _agree(G, dataclasses.replace(

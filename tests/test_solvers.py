@@ -4,8 +4,8 @@ import pytest
 
 import megsolve.solvers
 from megsolve import (MethodMismatchError, NotConnectedError,
-                      NotP4SparseError, build_graph,
-                      cut_vertices_via_strong_ordering, ecc_le2_exists,
+                      NotP4SparseError, build_graph, co_components,
+                      cut_vertices_via_strong_ordering,
                       gen_bipartite_permutation_with_ordering, is_meg_set,
                       mandatory_vertices, min_meg_bruteforce,
                       recognize_bipartite_permutation,
@@ -14,7 +14,8 @@ from megsolve import (MethodMismatchError, NotConnectedError,
                       solve_by_cut_decomposition, solve_cut_based,
                       solve_mandatory_based, solve_p4_structural,
                       spider_graph)
-from megsolve.graph_core import articulation_points
+from megsolve.graph_core import articulation_points, non_cut_vertices
+from megsolve.recognizers import spider_by_degrees
 
 from graphs_util import (all_connected_graphs, complete_graph,
                          connected_graph_classes, cycle_graph, path_graph,
@@ -122,7 +123,7 @@ def test_auto_mode_calls_the_route_functions_by_name(monkeypatch):
     for name in ("recognize_distance_hereditary",
                  "recognize_bipartite_permutation",
                  "recognize_strongly_chordal", "recognize_p4_sparse",
-                 "mandatory_vertices", "non_cut_vertices"):
+                 "mandatory_vertices"):
         original = getattr(megsolve.solvers, name)
 
         def spy(G, name=name, original=original):
@@ -137,7 +138,7 @@ def test_auto_mode_calls_the_route_functions_by_name(monkeypatch):
                      "mandatory_vertices"]
     calls.clear()
     assert solve(path_graph(4)).class_used == "distance_hereditary"
-    assert calls == ["recognize_distance_hereditary", "non_cut_vertices"]
+    assert calls == ["recognize_distance_hereditary", "mandatory_vertices"]
 
 
 def test_closed_forms_match_oracle_exhaustively():
@@ -246,12 +247,81 @@ def test_structural_matches_oracle_on_p4_sparse_instances():
         assert res.meg == min_meg_bruteforce(G).meg
 
 
-def test_ecc_le2():
-    assert ecc_le2_exists(path_graph(4)) == (True, 1)
-    assert ecc_le2_exists(path_graph(6)) == (False, None)
-    assert ecc_le2_exists(star_graph(5)) == (True, 0)
-    with pytest.raises(NotConnectedError):
-        ecc_le2_exists(build_graph([("a", "b"), ("c", "d")]))
+def test_every_exact_witness_is_the_mandatory_set_exhaustively():
+    """On every connected graph up to seven vertices: the DH and BP
+    non-cut vertices are the mandatory ones, and the structural solver
+    answers with the mandatory set, minimum by the oracle, on exactly the
+    join and spider shapes."""
+    accepted = 0
+    for n in range(2, 8):
+        for G in connected_graph_classes(n):
+            man = mandatory_vertices(G)
+            if (recognize_distance_hereditary(G) is not None
+                    or recognize_bipartite_permutation(G).verdict == "yes"):
+                assert non_cut_vertices(G) == man
+            shaped = (len(co_components(G)) >= 2
+                      or spider_by_degrees(G) is not None)
+            try:
+                res = solve_p4_structural(G)
+            except NotP4SparseError as err:
+                assert not shaped
+                assert str(err) == ("connected complement but no spider "
+                                    "partition; graph is not P4-sparse")
+                continue
+            assert shaped
+            assert res.witness == man
+            assert res.meg == min_meg_bruteforce(G).meg
+            accepted += 1
+    assert accepted > 100
+
+
+def _random_labelled(rng, prefix: str, k: int) -> list[tuple[str, str]]:
+    """Edges of a random graph on vertices prefix0..prefix{k-1}, which
+    need not be connected."""
+    p = rng.random()
+    return [(f"{prefix}{i}", f"{prefix}{j}") for i in range(k)
+            for j in range(i + 1, k) if rng.random() < p]
+
+
+def _join(rng, sizes):
+    sides = [[f"{chr(97 + t)}{i}" for i in range(k)]
+             for t, k in enumerate(sizes)]
+    edges = [e for t, k in enumerate(sizes)
+             for e in _random_labelled(rng, chr(97 + t), k)]
+    edges += [(u, v) for t, side in enumerate(sides) for other in sides[t + 1:]
+              for u in side for v in other]
+    return build_graph(edges, vertices=[v for side in sides for v in side])
+
+
+def test_structural_matches_oracle_on_random_shapes():
+    """Joins, a universal vertex over any core, and spiders with any head,
+    P4-sparse or not: the structural witness is the mandatory set and as
+    small as the oracle's."""
+    rng = random.Random(12)
+    shapes = []
+    for _ in range(200):
+        shapes.append(_join(rng, [rng.randrange(1, 5)
+                                  for _ in range(rng.randrange(2, 4))]))
+        k = rng.randrange(1, 12)
+        core = (random_connected_graph(rng, k, extra=rng.randrange(0, k))
+                if rng.random() < 0.5 else
+                build_graph(_random_labelled(rng, "v", k),
+                            vertices=[f"v{i}" for i in range(k)]))
+        shapes.append(with_universal(core))
+        legs = rng.randrange(2, 5)
+        head = rng.randrange(0, 12 - 2 * legs + 1)
+        head_edges = tuple((i, j) for i in range(head)
+                           for j in range(i + 1, head) if rng.random() < 0.4)
+        shapes.append(spider_graph(legs, rng.choice(("thin", "thick")),
+                                   head=head, head_edges=head_edges))
+    labels = set()
+    for G in shapes:
+        assert G.n <= 12
+        res = solve_p4_structural(G)
+        assert res.witness == mandatory_vertices(G)
+        assert res.meg == min_meg_bruteforce(G).meg
+        labels.add(res.class_used)
+    assert labels == {"p4_sparse", "p4_shape"}
 
 
 # ---------------------------------------------------------------------------
