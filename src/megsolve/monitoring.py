@@ -13,9 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
-from .graph_core import (DistanceMatrix, Graph, all_pairs_distances,
-                         bfs_distances, is_connected, non_cut_vertices,
-                         vertex_set)
+from .graph_core import (DistanceMatrix, Graph, bfs_distances, is_connected,
+                         non_cut_vertices, vertex_set)
 
 # Path counts saturate at this cap (64-bit signed max). A saturated count
 # means "this many or more", so any predicate touching one is indeterminate.
@@ -172,21 +171,36 @@ def is_meg_set(G: Graph, members) -> MegSetCheck:
     Iterates edges in sorted order; for each edge, deletion distances are
     computed from each member once, with early exit on the first
     monitoring pair. On failure the first uncovered edge is reported.
+
+    Two rules keep the work to what a deletion can change:
+
+    - An edge uv with u, v both in S is skipped: the edge itself is the
+      only shortest u-v path, so deleting it raises d(u, v) and the pair
+      (u, v) monitors it.
+    - Base distances come from one BFS per member of S, not from all n
+      vertices, since only distances between members enter the test; and
+      each member a is compared only with the members after it.
+
+    Every skipped edge is covered, so the first uncovered edge in
+    ``G.edges()`` order is never a skipped one; every other edge gets the
+    same per-pair test as a scan of all edges. The result is therefore the
+    same ``MegSetCheck`` as that scan's, ``uncovered`` included.
     """
     require_meg_input(G)
     S = vertex_set(members)
     if S and (S[0] < 0 or S[-1] >= G.n):
         raise ValueError("vertex id out of range")
-    dist = all_pairs_distances(G)
+    inside = set(S)
+    base = [bfs_distances(G, a) for a in S]
     for u, v in G.edges():
+        if u in inside and v in inside:
+            continue
         covered = False
-        for a in S:
+        for i, a in enumerate(S):
             row = bfs_distances(G, a, skip_edge=(u, v))
-            base = dist[a]
-            for b in S:
-                if b <= a:
-                    continue
-                if row[b] > base[b]:
+            base_a = base[i]
+            for b in S[i + 1:]:
+                if row[b] > base_a[b]:
                     covered = True
                     break
             if covered:

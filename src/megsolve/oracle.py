@@ -135,7 +135,11 @@ def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
 
 
 def mandatory_bruteforce(G: Graph, v: int, limit: int | None = None) -> bool:
-    """Definition-level mandatory test: V minus {v} fails as an MEG set."""
+    """Definition-level mandatory test: V minus {v} fails as an MEG set.
+
+    ``is_meg_set`` skips every edge with both ends in V minus {v}, so only
+    the edges at v are searched for an uncovered one.
+    """
     require_meg_input(G)
     _check_size(G, limit)
     if not 0 <= v < G.n:

@@ -16,9 +16,11 @@ from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
                       SelfLoopError, SpiderPartition, StrongOrdering,
                       build_graph, mandatory_vertices,
                       verify_spider_partition)
-from megsolve.graph_core import (articulation_points, connected_components,
+from megsolve.graph_core import (all_pairs_distances, articulation_points,
+                                 bfs_distances, connected_components,
                                  induced_subgraph, vertex_set)
-from megsolve.monitoring import geodesic_edge_masks
+from megsolve.monitoring import (MegSetCheck, geodesic_edge_masks,
+                                 require_meg_input)
 
 
 def path_graph(k: int) -> Graph:
@@ -207,6 +209,34 @@ def brute_is_meg(G: Graph, members) -> bool:
                    for a, b in itertools.combinations(members, 2)):
             return False
     return True
+
+
+def full_scan_is_meg_set(G: Graph, members) -> MegSetCheck:
+    """The package's former ``is_meg_set``: base distances from all n
+    vertices and one deletion BFS per member for every edge, edges inside
+    S included. Reference for ``is_meg_set``, which must return the same
+    ``MegSetCheck`` with at most as many BFS runs."""
+    require_meg_input(G)
+    S = vertex_set(members)
+    if S and (S[0] < 0 or S[-1] >= G.n):
+        raise ValueError("vertex id out of range")
+    dist = all_pairs_distances(G)
+    for u, v in G.edges():
+        covered = False
+        for a in S:
+            row = bfs_distances(G, a, skip_edge=(u, v))
+            base = dist[a]
+            for b in S:
+                if b <= a:
+                    continue
+                if row[b] > base[b]:
+                    covered = True
+                    break
+            if covered:
+                break
+        if not covered:
+            return MegSetCheck(False, (u, v))
+    return MegSetCheck(True, None)
 
 
 def brute_min_meg(G: Graph) -> tuple[int, tuple[int, ...]]:
@@ -502,7 +532,8 @@ def quadratic_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
     xs, ys = set(so.x_order), set(so.y_order)
     if len(so.x_order) != len(xs) or len(so.y_order) != len(ys):
         raise ValueError("orders repeat vertices")
-    if xs & ys or len(xs) + len(ys) != G.n:
+    if xs & ys or len(xs) + len(ys) != G.n \
+            or not all(0 <= v < G.n for v in xs | ys):
         raise ValueError("orders do not partition the vertex set")
     for side in (so.x_order, so.y_order):
         for v in side:

@@ -1,24 +1,29 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megsolve import (NotConnectedError, SATURATION_CAP, bounds, build_graph,
-                      gen_bipartite_permutation, gen_distance_hereditary,
-                      gen_p4_sparse, gen_random_connected,
-                      gen_strongly_chordal, geodesic_edge_masks, is_mandatory,
-                      is_meg_set, mandatory_vertices, monitors,
+from megsolve import (MegSetCheck, NotConnectedError, SATURATION_CAP, bounds,
+                      build_graph, gen_bipartite_permutation,
+                      gen_distance_hereditary, gen_p4_sparse,
+                      gen_random_connected, gen_strongly_chordal,
+                      geodesic_edge_masks, is_mandatory, is_meg_set,
+                      mandatory_bruteforce, mandatory_vertices, monitors,
                       monitors_by_counting, shortest_path_counts,
                       spider_graph)
+from megsolve import graph_core, monitoring
 from megsolve.graph_core import articulation_points
 
+import graphs_util
 from graphs_util import (all_connected_graphs, brute_is_meg, brute_mandatory,
                          brute_monitors, complete_graph,
                          connected_graph_classes, cycle_graph,
-                         extended_graphs, path_graph, per_x_is_mandatory,
-                         random_connected_graph, star_graph, with_universal)
+                         extended_graphs, full_scan_is_meg_set, path_graph,
+                         per_x_is_mandatory, random_connected_graph,
+                         star_graph, with_universal)
 
 
 def test_monitors_path_endpoints_cover_everything():
@@ -190,6 +195,84 @@ def test_whole_vertex_set_always_monitors():
         assert is_meg_set(G, range(n)).ok
 
 
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """Counts BFS runs, base and deletion apart, from ``is_meg_set``, from
+    ``full_scan_is_meg_set`` and from ``all_pairs_distances`` alike."""
+    runs = Counter()
+    real = graph_core.bfs_distances
+
+    def spy(G, source, skip_edge=None):
+        runs["deletion" if skip_edge is not None else "base"] += 1
+        return real(G, source, skip_edge)
+
+    for module in (graph_core, monitoring, graphs_util):
+        monkeypatch.setattr(module, "bfs_distances", spy)
+    return runs
+
+
+def _assert_matches_full_scan(G, members, runs):
+    """Same ``MegSetCheck`` as the full scan, with at most its BFS runs."""
+    runs.clear()
+    got = is_meg_set(G, members)
+    ours = sum(runs.values())
+    runs.clear()
+    assert got == full_scan_is_meg_set(G, members), (G.edges(), members)
+    assert ours <= sum(runs.values()), (G.edges(), members)
+    return got
+
+
+def test_is_meg_set_bfs_runs_on_path4(bfs_runs):
+    P = path_graph(4)
+    assert is_meg_set(P, range(4)) == MegSetCheck(True, None)
+    assert bfs_runs == {"base": 4}
+    bfs_runs.clear()
+    # base rows from the two members only; each edge is covered by the
+    # first deletion BFS, from 0
+    assert is_meg_set(P, [0, 3]) == MegSetCheck(True, None)
+    assert bfs_runs == {"base": 2, "deletion": 3}
+
+
+def test_is_meg_set_checks_edges_with_one_end_in_s():
+    # (0, 1) lies inside S; (1, 2) has one end outside and no pair of S
+    # monitors it
+    assert is_meg_set(path_graph(3), [0, 1]) == MegSetCheck(False, (1, 2))
+    assert is_meg_set(cycle_graph(4), [0, 1]) == MegSetCheck(False, (0, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_is_meg_set_matches_full_scan_every_subset(n, bfs_runs):
+    verdicts = Counter()
+    for G in connected_graph_classes(n):
+        for bits in range(1 << n):
+            S = [v for v in range(n) if bits >> v & 1]
+            verdicts[_assert_matches_full_scan(G, S, bfs_runs).ok] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_is_meg_set_matches_full_scan_every_class_n7(bfs_runs):
+    rng = random.Random(71)
+    V = range(7)
+    for G in connected_graph_classes(7):
+        subsets = [V, mandatory_vertices(G), ()]
+        subsets += [[x for x in V if x != v] for v in V]
+        subsets += [rng.sample(V, rng.randrange(2, 7)) for _ in range(5)]
+        for S in subsets:
+            _assert_matches_full_scan(G, S, bfs_runs)
+
+
+def test_is_meg_set_matches_full_scan_random(bfs_runs):
+    rng = random.Random(83)
+    for seed in range(500):
+        n = rng.randrange(8, 13)
+        G = gen_random_connected(n, rng.randrange(n - 1, 3 * n), seed)
+        V = range(n)
+        drop = rng.randrange(n)
+        for S in (V, mandatory_vertices(G), [x for x in V if x != drop],
+                  rng.sample(V, rng.randrange(2, n))):
+            _assert_matches_full_scan(G, S, bfs_runs)
+
+
 def test_mandatory_c4_c5_frozen():
     assert mandatory_vertices(cycle_graph(4)) == (0, 1, 2, 3)
     assert mandatory_vertices(cycle_graph(5)) == ()
@@ -265,6 +348,23 @@ def test_mandatory_matches_is_mandatory_on_generators(make, n):
     assert mandatory_vertices(G) == tuple(
         v for v, (ok, _) in enumerate(witnesses) if ok)
     assert witnesses == [per_x_is_mandatory(G, v) for v in range(G.n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("make", [
+    lambda n, s: gen_distance_hereditary(n, s),
+    lambda n, s: gen_p4_sparse(n, s),
+    lambda n, s: gen_bipartite_permutation(n // 2, n - n // 2, s),
+    lambda n, s: gen_strongly_chordal(n, s, "interval"),
+    lambda n, s: gen_strongly_chordal(n, s, "block"),
+    lambda n, s: gen_random_connected(n, 2 * n, s),
+], ids=["dh", "p4sparse", "bipperm", "sc-interval", "sc-block", "random"])
+def test_mandatory_matches_removal_definition_on_generators(make, n, seed):
+    G = make(n, seed)
+    assert G.n == n
+    assert mandatory_vertices(G) == tuple(
+        v for v in range(G.n) if mandatory_bruteforce(G, v, limit=G.n))
 
 
 def test_mandatory_disjoint_from_cut_vertices():
