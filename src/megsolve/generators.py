@@ -113,9 +113,21 @@ def _p4_sparse_edges(lo: int, size: int, rng: random.Random,
         return edges
     legs = rng.randint(2, size // 2)
     kind = rng.choice(("thin", "thick"))
-    s_ids = list(range(lo, lo + legs))
-    c_ids = list(range(lo + legs, lo + 2 * legs))
-    r_ids = list(range(lo + 2 * legs, lo + size))
+    head = size - 2 * legs
+    edges = _spider_edges(lo, legs, kind, head)
+    if head:
+        edges += _p4_sparse_edges(lo + 2 * legs, head, rng, False)
+    return edges
+
+
+def _spider_edges(lo: int, legs: int, kind: str,
+                  head: int) -> list[tuple[int, int]]:
+    """Spider on consecutive ids from ``lo``: legs, then the body clique,
+    then ``head`` vertices complete to the body. A thin leg i sees body
+    vertex i, a thick one every body vertex but i."""
+    s_ids = range(lo, lo + legs)
+    c_ids = range(lo + legs, lo + 2 * legs)
+    r_ids = range(lo + 2 * legs, lo + 2 * legs + head)
     edges = [(c_ids[i], c_ids[j]) for i in range(legs) for j in range(i + 1, legs)]
     for i in range(legs):
         if kind == "thin":
@@ -123,8 +135,6 @@ def _p4_sparse_edges(lo: int, size: int, rng: random.Random,
         else:
             edges.extend((s_ids[i], c_ids[j]) for j in range(legs) if j != i)
     edges.extend((r, c) for r in r_ids for c in c_ids)
-    if r_ids:
-        edges += _p4_sparse_edges(r_ids[0], len(r_ids), rng, False)
     return edges
 
 
@@ -284,20 +294,11 @@ def spider_graph(legs: int, kind: str = "thin", head: int = 0,
     labels = ([f"s{i + 1}" for i in range(legs)]
               + [f"c{i + 1}" for i in range(legs)]
               + [f"r{i + 1}" for i in range(head)])
-    s_ids = list(range(legs))
-    c_ids = list(range(legs, 2 * legs))
-    r_ids = list(range(2 * legs, 2 * legs + head))
-    edges = [(c_ids[i], c_ids[j]) for i in range(legs) for j in range(i + 1, legs)]
-    for i in range(legs):
-        if kind == "thin":
-            edges.append((s_ids[i], c_ids[i]))
-        else:
-            edges.extend((s_ids[i], c_ids[j]) for j in range(legs) if j != i)
-    edges.extend((r, c) for r in r_ids for c in c_ids)
+    edges = _spider_edges(0, legs, kind, head)
     for i, j in head_edges:
         if not (0 <= i < head and 0 <= j < head):
             raise ValueError("head edge index out of range")
-        edges.append((r_ids[i], r_ids[j]))
+        edges.append((2 * legs + i, 2 * legs + j))
     return Graph(labels, edges)
 
 

@@ -110,8 +110,8 @@ class Graph:
             return NotImplemented
         return self.labels == other.labels and self.adj == other.adj
 
-    def __hash__(self):  # pragma: no cover - identity hashing is enough
-        return id(self)
+    def __hash__(self) -> int:
+        return hash((self.labels, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

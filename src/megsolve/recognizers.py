@@ -435,13 +435,10 @@ def detect_spider(G: Graph) -> SpiderPartition | None:
 
 @dataclass(frozen=True)
 class StrongOrdering:
-    """Vertex orders of the two sides plus first/last neighbor maps
-    (extremes under the opposite side's order)."""
+    """Vertex orders of the two sides of a bipartite graph."""
 
     x_order: tuple[int, ...]
     y_order: tuple[int, ...]
-    first: dict
-    last: dict
 
     def to_json(self, G: Graph) -> dict:
         return {
@@ -458,22 +455,14 @@ class BipPermResult:
 
 
 def strong_ordering_from_orders(G: Graph, x_order, y_order) -> StrongOrdering:
+    """The orders as a ``StrongOrdering``, once they partition the vertex
+    set (ValueError otherwise); ``verify_strong_ordering`` decides whether
+    they are strong."""
     x_order = tuple(x_order)
     y_order = tuple(y_order)
     if sorted(x_order + y_order) != list(range(G.n)):
         raise ValueError("orders do not partition the vertex set")
-    pos = {}
-    for i, v in enumerate(x_order):
-        pos[v] = i
-    for i, v in enumerate(y_order):
-        pos[v] = i
-    first = {}
-    last = {}
-    for v in x_order + y_order:
-        if G.adj[v]:
-            first[v] = min(G.adj[v], key=lambda w: pos[w])
-            last[v] = max(G.adj[v], key=lambda w: pos[w])
-    return StrongOrdering(x_order, y_order, first, last)
+    return StrongOrdering(x_order, y_order)
 
 
 def _is_bipartite(G: Graph) -> bool:
@@ -497,18 +486,16 @@ def _is_bipartite(G: Graph) -> bool:
 def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
     """Full certificate check, linear in the size of G.
 
-    Raises ValueError when the two orders are not a bipartition of G, or
-    when the ``first``/``last`` maps are malformed: an isolated vertex
-    listed in ``first``, a vertex with a ``first`` but no ``last`` entry,
-    or an entry naming a vertex outside the opposite side. Returns False
-    when any ordering property fails.
+    Raises ValueError when the two orders are not a bipartition of G;
+    returns False when any ordering property fails.
 
     Following Spinrad, Brandstaedt and Stewart ("Bipartite permutation
     graphs", DAM 1987), the orders pass iff every neighborhood is
     consecutive in the opposite order and its ends, f(v) = first and
     l(v) = last position, are non-decreasing along each side; one pass
-    over each side checks both. Together they imply the two pairwise
-    properties of a strong ordering, so neither needs a scan over pairs:
+    over each side (``_neighbor_ends``) checks both. Together they imply
+    the two pairwise properties of a strong ordering, so neither needs a
+    scan over pairs:
 
     * Crossing: for a < a' and b' < b with ab, a'b' in E,
       f(a) <= f(a') <= b' < b <= l(a), so ab' in E, and
@@ -517,9 +504,15 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
       f(v) <= f(u) and l(u) <= l(v); monotone ends give the reverse of
       one of the two, so the firsts or the lasts are equal and
       N(v) minus N(u) is one run.
-
-    The recorded ``first``/``last`` are then replayed against the ends.
     """
+    return _neighbor_ends(G, so) is not None
+
+
+def _neighbor_ends(G: Graph,
+                   so: StrongOrdering) -> dict[int, tuple[int, int]] | None:
+    """(f(v), l(v)) for every non-isolated vertex v, or None when the
+    orders are not strong; see ``verify_strong_ordering``, which this
+    pass decides, ValueError included."""
     xs, ys = set(so.x_order), set(so.y_order)
     if len(so.x_order) != len(xs) or len(so.y_order) != len(ys):
         raise ValueError("orders repeat vertices")
@@ -532,9 +525,8 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
                     raise ValueError("ordering sides are not a bipartition")
     xpos = {v: i for i, v in enumerate(so.x_order)}
     ypos = {v: i for i, v in enumerate(so.y_order)}
-    sides = ((so.x_order, ypos), (so.y_order, xpos))
     ends = {}
-    for side, pos in sides:
+    for side, pos in ((so.x_order, ypos), (so.y_order, xpos)):
         prev_f = prev_l = -1
         for v in side:
             if not G.adj[v]:
@@ -542,28 +534,9 @@ def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
             ps = [pos[w] for w in G.adj[v]]
             f, l = min(ps), max(ps)
             if l - f + 1 != len(ps) or f < prev_f or l < prev_l:
-                return False
+                return None
             prev_f, prev_l = ends[v] = f, l
-    # The orders alone decide False before any lookup in the recorded
-    # maps can raise.
-    for side, pos in sides:
-        for v in side:
-            if v not in so.first:
-                if G.adj[v]:
-                    return False
-                continue
-            if v not in so.last:
-                raise ValueError(
-                    f"vertex {v} has a first neighbor but no last")
-            if so.first[v] not in pos or so.last[v] not in pos:
-                raise ValueError(f"first/last neighbor of vertex {v} is not "
-                                 "on the other side")
-            recorded = pos[so.first[v]], pos[so.last[v]]
-            if not G.adj[v]:
-                raise ValueError(f"isolated vertex {v} has a first neighbor")
-            if recorded != ends[v]:
-                return False
-    return True
+    return ends
 
 
 def _layered_candidate(G: Graph, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -640,8 +613,7 @@ def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
     if not _is_bipartite(G):
         return BipPermResult("no", None)
     if G.n == 1:
-        so = strong_ordering_from_orders(G, (0,), ())
-        return BipPermResult("yes", so)
+        return BipPermResult("yes", StrongOrdering((0,), ()))
 
     def farthest(s: int) -> int:
         dist = bfs_distances(G, s)
@@ -652,8 +624,7 @@ def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
     u2 = farthest(u1)
     starts = [u1, u2] + [v for v in range(G.n) if v not in (u1, u2)]
     for start in starts:
-        x_order, y_order = _layered_candidate(G, start)
-        so = strong_ordering_from_orders(G, x_order, y_order)
+        so = StrongOrdering(*_layered_candidate(G, start))
         if verify_strong_ordering(G, so):
             return BipPermResult("yes", so)
     return BipPermResult("no", None)

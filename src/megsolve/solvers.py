@@ -21,10 +21,10 @@ from .graph_core import (Graph, articulation_points, blocks, co_components,
                          induced_subgraph, vertex_set)
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
-from .recognizers import (StrongOrdering, recognize_bipartite_permutation,
+from .recognizers import (StrongOrdering, _neighbor_ends,
+                          recognize_bipartite_permutation,
                           recognize_distance_hereditary, recognize_p4_sparse,
-                          recognize_strongly_chordal, spider_by_degrees,
-                          verify_strong_ordering)
+                          recognize_strongly_chordal, spider_by_degrees)
 
 METHODS = ("auto", "cut", "mandatory", "structural", "oracle", "decomposition")
 
@@ -83,24 +83,6 @@ def _walk_routes(G: Graph, form: str | None, t0: float) -> MegResult | None:
         f"({', '.join(f'{name}: {answer}' for name, answer in seen)})")
 
 
-def solve_cut_based(G: Graph) -> MegResult:
-    """Minimum MEG set of a distance-hereditary or bipartite permutation
-    graph: its non-cut vertices, which there equal the mandatory vertices.
-    """
-    require_meg_input(G)
-    return _walk_routes(G, "cut_based", time.perf_counter())
-
-
-def solve_mandatory_based(G: Graph) -> MegResult:
-    """Minimum MEG set = the mandatory vertices.
-
-    Valid on strongly chordal and P4-sparse graphs; the input must be
-    recognized as one of the two.
-    """
-    require_meg_input(G)
-    return _walk_routes(G, "mandatory_based", time.perf_counter())
-
-
 def solve_p4_structural(G: Graph) -> MegResult:
     """Minimum MEG set of a join, or of a spider found by the degree rules
     (``spider_by_degrees``): the mandatory vertices.
@@ -126,20 +108,18 @@ def cut_vertices_via_strong_ordering(G: Graph, so: StrongOrdering) -> tuple[int,
 
     An interim vertex u (neither first nor last on its side) fails to be a
     cut vertex exactly when some neighbor's neighborhood straddles u on
-    both sides. The ordering is re-verified before use.
+    both sides. The ordering is re-verified before use, by the pass that
+    finds each neighborhood's first and last position.
     """
     require_meg_input(G)
-    if not verify_strong_ordering(G, so):
+    ends = _neighbor_ends(G, so)
+    if ends is None:
         raise ValueError("ordering failed strong-ordering verification")
     result = []
     for side in (so.x_order, so.y_order):
-        pos = {v: i for i, v in enumerate(side)}
         for idx in range(1, len(side) - 1):
             u = side[idx]
-            straddled = any(
-                pos[so.first[w]] < idx < pos[so.last[w]]
-                for w in G.adj[u])
-            if not straddled:
+            if not any(ends[w][0] < idx < ends[w][1] for w in G.adj[u]):
                 result.append(u)
     return tuple(sorted(result))
 

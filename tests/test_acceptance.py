@@ -27,7 +27,6 @@ from megsolve import (
     monitors_by_counting,
     shortest_path_counts,
     solve,
-    solve_cut_based,
     solve_p4_structural,
     spider_graph,
 )
@@ -226,7 +225,7 @@ def test_criterion_9_trees_yield_exactly_the_leaves():
         n = 2 + (i * 48) // 49
         edges = [(f"t{j}", f"t{rng.randrange(j)}") for j in range(1, n)]
         G = build_graph(edges, vertices=[f"t{j}" for j in range(n)])
-        res = solve_cut_based(G)
+        res = solve(G, method="cut")
         leaves = {v for v in range(G.n) if G.degree(v) == 1}
         assert set(res.witness) == leaves
         assert res.meg == len(leaves)

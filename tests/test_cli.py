@@ -1,17 +1,24 @@
 import csv
 import io
 import json
+import random
 import sys
 
 import pytest
 
 from megsolve import (EdgeListParseError, GenSpec, GenerationError,
                       LimitExceededError, MethodMismatchError,
-                      NotConnectedError, SelfLoopError, format_edge_list,
-                      generate, graph_from_edge_list, mandatory_vertices,
-                      solve_p4_structural, spider_graph)
+                      NotConnectedError, SelfLoopError, articulation_points,
+                      cut_vertices_via_strong_ordering, format_edge_list,
+                      gen_bipartite_permutation, generate,
+                      graph_from_edge_list, mandatory_vertices, read_graph_file,
+                      recognize_bipartite_permutation, solve_p4_structural,
+                      spider_graph, strong_ordering_from_orders,
+                      verify_strong_ordering)
 from megsolve import cli, recognizers, solvers
 from megsolve.cli import main
+
+from graphs_util import shuffled_ids
 
 
 def write(tmp_path, name, text):
@@ -110,6 +117,31 @@ def test_recognize_certificates(tmp_path, capsys):
     certs = json.loads(out)["result"]["certificates"]
     assert certs["spider"]["kind"] == "thin"
     assert certs["spider"]["s"] == ["s1", "s2", "s3"]
+
+
+def test_recognize_bp_certificate_round_trip(tmp_path, capsys):
+    """The printed strong ordering reads back to the recognizer's own; it
+    replays, and its cut test finds the articulation points among the
+    interim vertices."""
+    rng = random.Random(1987)
+    path = str(tmp_path / "bp.edges")
+    for i in range(60):
+        p = rng.randint(1, 100)
+        q = rng.randint(max(1, 13 - p), 200 - p)
+        G = shuffled_ids(gen_bipartite_permutation(p, q, seed=i), rng)
+        with open(path, "w") as f:
+            f.write(format_edge_list(G))
+        assert read_graph_file(path) == G
+        code, out, _ = run(capsys, "recognize", path, "--certificate")
+        assert code == 0
+        cert = json.loads(out)["result"]["certificates"]["bipartitePermutation"]
+        so = strong_ordering_from_orders(G, map(G.id_of, cert["xOrder"]),
+                                         map(G.id_of, cert["yOrder"]))
+        assert so == recognize_bipartite_permutation(G).ordering
+        assert verify_strong_ordering(G, so)
+        interim = set(so.x_order[1:-1]) | set(so.y_order[1:-1])
+        assert cut_vertices_via_strong_ordering(G, so) == tuple(
+            sorted(set(articulation_points(G)) & interim)), (p, q, i)
 
 
 def _p4_sparse_120(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -211,6 +212,34 @@ def test_spider_graph_validation():
         spider_graph(3, "fuzzy")
     with pytest.raises(ValueError):
         spider_graph(3, "thin", head=1, head_edges=((0, 5),))
+
+
+def _digest(graphs) -> str:
+    h = hashlib.sha256()
+    for G in graphs:
+        h.update(format_edge_list(G).encode())
+    return h.hexdigest()
+
+
+def test_spider_edges_pinned():
+    """P4-sparse graphs and spider fixtures share one spider edge builder;
+    the digests pin the exact edge lists of both (seeds 1-5 at n 1-60, and
+    2-8 thin or thick legs with heads of 0-4, bare or holding a path)."""
+    assert _digest(gen_p4_sparse(n, seed) for seed in range(1, 6)
+                   for n in range(1, 61)) == (
+        "56ca2d41b1a6e6665985ddad46b591e2fa4cf76d70c33cc4073137d4427bc3d9")
+
+    def spiders():
+        for legs in range(2, 9):
+            for kind in ("thin", "thick"):
+                for head in range(5):
+                    yield spider_graph(legs, kind, head)
+                    if head >= 2:
+                        path = tuple((i, i + 1) for i in range(head - 1))
+                        yield spider_graph(legs, kind, head, path)
+
+    assert _digest(spiders()) == (
+        "9a26e324e2fe823d4b3cc344e4bea4d9dff17bf7ed7268e1a93083f6207e6594")
 
 
 def test_genspec_comment_format():

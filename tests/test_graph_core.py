@@ -76,6 +76,13 @@ def test_accessors_roundtrip():
         G.id_of("zz")
 
 
+def test_equal_graphs_hash_equal():
+    G, H = gen_bipartite_permutation(3, 3, 1), gen_bipartite_permutation(3, 3, 1)
+    assert G is not H and G == H and hash(G) == hash(H)
+    assert len({G, H}) == 1
+    assert len({G, graph_from_edge_list(format_edge_list(G)), path_graph(4)}) == 2
+
+
 def test_vertex_set_sorts_and_dedups():
     assert vertex_set([3, 1, 3, 0]) == (0, 1, 3)
     assert vertex_set([]) == ()

@@ -34,7 +34,8 @@ from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          random_connected_graph,
                          rescan_distance_hereditary, rescan_prune_steps,
                          rescan_strongly_chordal,
-                         scan_p4_sparse, star_graph, with_universal)
+                         scan_p4_sparse, shuffled_ids, star_graph,
+                         with_universal)
 
 
 def three_sun():
@@ -476,16 +477,6 @@ def test_bp_matches_definition_exhaustive_small():
     assert checked == 2306
 
 
-def _shuffled_ids(G: Graph, rng) -> Graph:
-    """The same labelled graph with its vertex ids permuted at random."""
-    new_id = list(range(G.n))
-    rng.shuffle(new_id)
-    labels = [None] * G.n
-    for v, label in enumerate(G.labels):
-        labels[new_id[v]] = label
-    return Graph(labels, [(new_id[u], new_id[v]) for u, v in G.edges()])
-
-
 def test_bp_decides_shuffled_generated_graphs():
     """Members above the former exhaustive range, whatever their ids: the
     ordering found replays, and its cut test matches the articulation
@@ -495,7 +486,7 @@ def test_bp_decides_shuffled_generated_graphs():
         p, q = rng.randint(3, 30), rng.randint(3, 30)
         if p + q <= 10:
             q += 10
-        G = _shuffled_ids(gen_bipartite_permutation(p, q, seed=i), rng)
+        G = shuffled_ids(gen_bipartite_permutation(p, q, seed=i), rng)
         res = recognize_bipartite_permutation(G)
         assert res.verdict == "yes", (p, q, i)
         so = res.ordering
@@ -503,6 +494,14 @@ def test_bp_decides_shuffled_generated_graphs():
         interim = set(so.x_order[1:-1]) | set(so.y_order[1:-1])
         assert cut_vertices_via_strong_ordering(G, so) == tuple(
             sorted(set(articulation_points(G)) & interim))
+
+
+def test_bp_results_hash():
+    res = recognize_bipartite_permutation(path_graph(5))
+    again = recognize_bipartite_permutation(path_graph(5))
+    assert res == again and hash(res) == hash(again)
+    assert hash(res.ordering) == hash(again.ordering)
+    assert len({res, again, recognize_bipartite_permutation(cycle_graph(5))}) == 2
 
 
 def test_bp_member_needing_a_start_beyond_the_double_sweep():
@@ -559,13 +558,9 @@ def _outcome(check, G, so):
 
 
 def _agree(G, so):
-    """Same verdict as the quadratic reference, except that a malformed
-    first/last map, where the reference fails a lookup with KeyError,
-    raises ValueError."""
+    """Same verdict as the quadratic reference."""
     fast = _outcome(verify_strong_ordering, G, so)
-    slow = _outcome(quadratic_strong_ordering, G, so)
-    assert fast is not KeyError, (sorted(G.edges()), so)
-    assert fast == (ValueError if slow is KeyError else slow), (
+    assert fast == _outcome(quadratic_strong_ordering, G, so), (
         sorted(G.edges()), so)
     return fast
 
@@ -612,67 +607,21 @@ def test_strong_ordering_matches_quadratic_random():
     assert verdicts[True] >= 1000 and verdicts[False] >= 1000
 
 
-def _tamper(G, so, rng):
-    """Corrupt one entry of the first/last maps."""
-    first, last = dict(so.first), dict(so.last)
-    v = rng.randrange(G.n)
-    own, other = ((so.x_order, so.y_order) if v in so.x_order
-                  else (so.y_order, so.x_order))
-    how = rng.randrange(5)
-    if how == 0:  # any vertex of the other side, isolated v too
-        first[v] = rng.choice(other)
-        last[v] = rng.choice(other)
-    elif how == 1:
-        last[v] = rng.choice(other)
-    elif how == 2:
-        first.pop(v, None)
-    elif how == 3:  # a vertex of v's own side
-        first[v] = rng.choice(own)
-    else:
-        last.pop(v, None)
-    return dataclasses.replace(so, first=first, last=last)
-
-
-def test_strong_ordering_matches_quadratic_on_bad_certificates():
-    rng = random.Random(1992)
-    verdicts = Counter()
-    for _ in range(3000):
-        G, so = _random_bipartite(rng)
-        verdicts[_agree(G, _tamper(G, so, rng))] += 1
-    assert all(verdicts[v] >= 100 for v in (True, False, ValueError))
-    assert verdicts[ValueError] >= 500  # the reference's KeyError cases too
-
-
 def test_strong_ordering_certificate_faults():
     G = _bipartite(2, 3, [(0, 2), (0, 3), (1, 3), (1, 4)])
     so = strong_ordering_from_orders(G, (0, 1), (2, 3, 4))
     assert _agree(G, so) is True
-    wrong_first = dataclasses.replace(so, first={**so.first, 0: 3})
-    assert _agree(G, wrong_first) is False
-    wrong_last = dataclasses.replace(so, last={**so.last, 4: 0})
-    assert _agree(G, wrong_last) is False
-    # an entry off the opposite side, or a first without a last
-    same_side = dataclasses.replace(so, first={**so.first, 0: 1})
-    assert _agree(G, same_side) is ValueError
-    no_last = dataclasses.replace(
-        so, last={v: w for v, w in so.last.items() if v != 0})
-    assert _agree(G, no_last) is ValueError
-    # an isolated vertex may not carry a first/last neighbor
+    # an isolated vertex may sit anywhere on its side
     G = _bipartite(2, 3, [(0, 2), (0, 3), (1, 3)])
     so = strong_ordering_from_orders(G, (0, 1), (2, 3, 4))
-    assert 4 not in so.first and _agree(G, so) is True
-    listed = dataclasses.replace(so, first={**so.first, 4: 1},
-                                 last={**so.last, 4: 1})
-    assert _agree(G, listed) is ValueError
+    assert _agree(G, so) is True
     # ids outside 0..n-1 do not stand in for a vertex (-1 would wrap to 4)
     for stray in (-1, 5):
         assert _agree(G, dataclasses.replace(
             so, y_order=(2, 3, stray))) is ValueError
-    # orders that fail decide False before the certificate is read
+    # crossing orders fail
     crossed = strong_ordering_from_orders(G, (1, 0), (2, 3, 4))
-    assert _agree(G, dataclasses.replace(
-        crossed, first={**crossed.first, 4: 1},
-        last={**crossed.last, 4: 1})) is False
+    assert _agree(G, crossed) is False
 
 
 def test_strong_ordering_accepts_large_generated():

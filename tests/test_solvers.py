@@ -11,8 +11,7 @@ from megsolve import (MethodMismatchError, NotConnectedError,
                       recognize_bipartite_permutation,
                       recognize_distance_hereditary, recognize_p4_sparse,
                       recognize_strongly_chordal, solve,
-                      solve_by_cut_decomposition, solve_cut_based,
-                      solve_mandatory_based, solve_p4_structural,
+                      solve_by_cut_decomposition, solve_p4_structural,
                       spider_graph)
 from megsolve.graph_core import articulation_points, non_cut_vertices
 from megsolve.recognizers import spider_by_degrees
@@ -38,7 +37,7 @@ def three_sun():
 
 
 def test_cut_based_on_tree():
-    res = solve_cut_based(path_graph(5))
+    res = solve(path_graph(5), method="cut")
     assert res.class_used == "distance_hereditary"
     assert res.method == "cut_based"
     assert res.meg == 2 and res.witness == (0, 4)
@@ -48,7 +47,7 @@ def test_cut_based_on_tree():
 def test_cut_based_on_bp_not_dh():
     G = domino()
     assert recognize_distance_hereditary(G) is None
-    res = solve_cut_based(G)
+    res = solve(G, method="cut")
     assert res.class_used == "bipartite_permutation"
     assert res.meg == 6
     assert res.meg == min_meg_bruteforce(G).meg
@@ -56,31 +55,31 @@ def test_cut_based_on_bp_not_dh():
 
 def test_cut_based_mismatch():
     with pytest.raises(MethodMismatchError) as err:
-        solve_cut_based(cycle_graph(5))
+        solve(cycle_graph(5), method="cut")
     assert "distance-hereditary" in str(err.value)
     assert "bipartite permutation" in str(err.value)
 
 
 def test_mandatory_based_on_strongly_chordal():
-    res = solve_mandatory_based(with_universal(path_graph(6)))
+    res = solve(with_universal(path_graph(6)), method="mandatory")
     assert res.class_used == "strongly_chordal"
     assert res.method == "mandatory_based"
     assert res.meg == 6
-    res = solve_mandatory_based(complete_graph(4))
+    res = solve(complete_graph(4), method="mandatory")
     assert res.meg == 4
 
 
 def test_mandatory_based_on_p4_sparse_not_sc():
     G = cycle_graph(4)
     assert recognize_strongly_chordal(G) is None
-    res = solve_mandatory_based(G)
+    res = solve(G, method="mandatory")
     assert res.class_used == "p4_sparse"
     assert res.meg == 4 and res.witness == (0, 1, 2, 3)
 
 
 def test_mandatory_based_mismatch():
     with pytest.raises(MethodMismatchError):
-        solve_mandatory_based(cycle_graph(5))
+        solve(cycle_graph(5), method="mandatory")
 
 
 @pytest.mark.parametrize("G, bp", [(cycle_graph(5), "no"),
@@ -148,10 +147,10 @@ def test_closed_forms_match_oracle_exhaustively():
             expected = min_meg_bruteforce(G).meg
             if (recognize_distance_hereditary(G) is not None
                     or recognize_bipartite_permutation(G).verdict == "yes"):
-                assert solve_cut_based(G).meg == expected
+                assert solve(G, method="cut").meg == expected
             if (recognize_strongly_chordal(G) is not None
                     or recognize_p4_sparse(G)):
-                assert solve_mandatory_based(G).meg == expected
+                assert solve(G, method="mandatory").meg == expected
 
 
 def test_closed_forms_match_oracle_random():
@@ -163,12 +162,12 @@ def test_closed_forms_match_oracle_random():
         if (recognize_distance_hereditary(G) is not None
                 or recognize_bipartite_permutation(G).verdict == "yes"):
             expected = min_meg_bruteforce(G).meg
-            assert solve_cut_based(G).meg == expected
+            assert solve(G, method="cut").meg == expected
         if (recognize_strongly_chordal(G) is not None
                 or recognize_p4_sparse(G)):
             if expected is None:
                 expected = min_meg_bruteforce(G).meg
-            assert solve_mandatory_based(G).meg == expected
+            assert solve(G, method="mandatory").meg == expected
 
 
 # ---------------------------------------------------------------------------
