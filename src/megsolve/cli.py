@@ -100,7 +100,7 @@ def _report(command: str, G: Graph, path: str, result: dict,
 def cmd_recognize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     G = read_graph_file(args.path)
-    _require_connected(G, allow_single=True)
+    _require_connected(G)
     dh = recognize_distance_hereditary(G)
     bp = recognize_bipartite_permutation(G)
     seo = recognize_strongly_chordal(G)
@@ -176,7 +176,7 @@ def cmd_mandatory(args: argparse.Namespace) -> int:
 def cmd_cut(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     G = read_graph_file(args.path)
-    _require_connected(G, allow_single=True)
+    _require_connected(G)
     result = {"cutVertices": _labels_sorted(G, articulation_points(G))}
     return _report("cut", G, args.path, result, args, started)
 
@@ -251,11 +251,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_connected(G: Graph, allow_single: bool = False) -> None:
+def _require_connected(G: Graph) -> None:
     if G.n == 0:
         raise NotConnectedError("graph has no vertices")
-    if not allow_single and G.n < 2:
-        raise NotConnectedError("need at least two vertices")
     if not is_connected(G):
         raise NotConnectedError("graph must be connected")
 

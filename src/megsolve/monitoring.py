@@ -77,23 +77,27 @@ def shortest_path_counts(
     ``cap``. A clipped entry means "cap or more".
     """
     require_meg_input(G)
+    adj = G.adj
     dist_rows = []
     count_rows = []
     for s in range(G.n):
-        dist = bfs_distances(G, s)
+        dist = [-1] * G.n
         sigma = [0] * G.n
+        dist[s] = 0
         sigma[s] = 1
-        # Counts accumulate in BFS-distance order; predecessors on shortest
-        # paths are exactly the neighbors one hop closer to the source.
-        for v in sorted((x for x in range(G.n) if x != s), key=lambda x: dist[x]):
-            total = 0
-            for w in G.adj[v]:
-                if dist[w] + 1 == dist[v]:
-                    total += sigma[w]
-                    if total >= cap:
-                        total = cap
-                        break
-            sigma[v] = total
+        queue = deque([s])
+        # BFS visits vertices in distance order, so sigma[p] is final when
+        # p leaves the queue; each tight edge p-w adds it to sigma[w].
+        while queue:
+            p = queue.popleft()
+            d = dist[p] + 1
+            sigma_p = sigma[p]
+            for w in adj[p]:
+                if dist[w] == -1:
+                    dist[w] = d
+                    queue.append(w)
+                if dist[w] == d:
+                    sigma[w] = min(cap, sigma[w] + sigma_p)
         dist_rows.append(tuple(dist))
         count_rows.append(tuple(sigma))
     return DistanceMatrix(tuple(dist_rows)), tuple(count_rows)

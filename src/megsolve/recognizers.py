@@ -3,10 +3,10 @@
 Four classes are decided, each answer yes or no: distance-hereditary
 (pendant/twin pruning), P4-sparse (every five vertices induce at most one
 P4; decided by splitting into disjoint unions, joins and spiders),
-bipartite permutation (layered strong-ordering search from every start
-vertex), and strongly chordal (simple-vertex elimination). Each positive
-answer except P4-sparse carries a certificate that an independent
-verifier in this module can recheck.
+bipartite permutation (one layered strong-ordering candidate from a
+vertex of the last BFS layer), and strongly chordal (simple-vertex
+elimination). Each positive answer except P4-sparse carries a certificate
+that an independent verifier in this module can recheck.
 
 The two eliminations keep per-vertex state that each removal updates
 over the removed vertex's adjacency list instead of rebuilding alive
@@ -564,21 +564,53 @@ def _layered_candidate(G: Graph, start: int) -> tuple[tuple[int, ...], tuple[int
 
 
 def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
-    """Decide bipartite permutation membership by a strong-ordering search.
+    """Decide bipartite permutation membership by one strong-ordering
+    candidate.
 
     The verdict is "yes" with a strong ordering, or "no" when G is not
-    bipartite or no start vertex yields one. ``_layered_candidate`` runs
-    from a double-sweep endpoint, then the other endpoint, then every
-    other vertex; each candidate goes through the linear-time
-    ``verify_strong_ordering``, so "yes" is always certified.
+    bipartite or the candidate is not strong. One BFS from vertex 0 finds
+    its last layer; ``_layered_candidate`` runs from the vertex of that
+    layer with the smallest (degree, id), and the linear-time
+    ``verify_strong_ordering`` checks it, so "yes" is always certified.
 
     "no" is exact: G is a bipartite permutation graph iff it has a strong
-    ordering (Spinrad, Brandstaedt and Stewart, DAM 1987), and for any
-    strong ordering, the candidate from the first vertex x1 of either
-    side (call that side X) is strong.
+    ordering (Spinrad, Brandstaedt and Stewart, DAM 1987); by the lemma
+    below, that start is the first vertex x1 of some strong ordering, and
+    the candidate from x1 is strong.
     Write f(v) and l(v) for the first and last position of N(v) in the
     opposite order; ``verify_strong_ordering`` relies on them being
     non-decreasing along each side and on each N(v) being consecutive.
+
+    Lemma: in a connected bipartite permutation graph, for any vertex s,
+    every minimum-degree vertex z of the last BFS layer L from s (at
+    distance D) is the first vertex of some strong ordering. Fix a strong
+    ordering x1..xp, y1..yq with L on the X side. If D = 1, G is a star
+    with centre s and every leaf starts one; let D >= 2.
+
+    * Balls are intervals. For consecutive x, x' of one side,
+      f(x') <= l(x) + 1, or the vertex of the other side right after
+      position l(x) would have no neighbor: the vertices up to x end
+      before it, the others start after it. So the neighborhood of an interval of one side is
+      an interval of the other. The vertices of one side within distance
+      r + 1 of s are the neighbors of those of the other side within
+      distance r (r >= 1), so each ball around s meets each side in an
+      interval. L is X minus the ball of radius D - 1, a prefix plus a
+      suffix of X.
+    * Far ends are twins. Take x_k in the suffix. If l(x_k) is not the
+      last position, every neighbor of the next vertex y of Y comes after
+      x_k, in L, so y (not s, as D >= 2) would lie at distance D + 1.
+      Hence l(x_k) = l(xp), N(x_k) contains N(xp), and xp is in L too:
+      x_k has at least the degree of xp, and exactly that only as a twin
+      of xp. The prefix and x1 are symmetric, with first positions. So z,
+      of minimum degree in L, is a twin of x1 or of xp.
+    * Twins can move. The vertices between two twins have their ends, so
+      twins are consecutive, and permuting them keeps the ordering strong
+      (see "Ties are twins" below). Reversing both orders keeps every
+      neighborhood consecutive and the ends monotone, so it keeps the
+      ordering strong too. So z can be moved to the first position.
+
+    The candidate from x1 is strong, for any strong ordering and either
+    side (call the side of x1 X):
 
     * Layers are blocks. The first vertex of Y has a neighbor x with
       f(x) = 0, so f(x1) = 0 by monotone f, and the same holds with the
@@ -614,19 +646,13 @@ def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
         return BipPermResult("no", None)
     if G.n == 1:
         return BipPermResult("yes", StrongOrdering((0,), ()))
-
-    def farthest(s: int) -> int:
-        dist = bfs_distances(G, s)
-        best = max(dist)
-        return min(v for v in range(G.n) if dist[v] == best)
-
-    u1 = farthest(0)
-    u2 = farthest(u1)
-    starts = [u1, u2] + [v for v in range(G.n) if v not in (u1, u2)]
-    for start in starts:
-        so = StrongOrdering(*_layered_candidate(G, start))
-        if verify_strong_ordering(G, so):
-            return BipPermResult("yes", so)
+    dist = bfs_distances(G, 0)
+    far = max(dist)
+    start = min((v for v in range(G.n) if dist[v] == far),
+                key=lambda v: (len(G.adj[v]), v))
+    so = StrongOrdering(*_layered_candidate(G, start))
+    if verify_strong_ordering(G, so):
+        return BipPermResult("yes", so)
     return BipPermResult("no", None)
 
 

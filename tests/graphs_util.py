@@ -16,11 +16,12 @@ from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
                       SelfLoopError, SpiderPartition, StrongOrdering,
                       build_graph, mandatory_vertices,
                       verify_spider_partition)
-from megsolve.graph_core import (all_pairs_distances, articulation_points,
-                                 bfs_distances, connected_components,
-                                 induced_subgraph, vertex_set)
-from megsolve.monitoring import (MegSetCheck, geodesic_edge_masks,
-                                 require_meg_input)
+from megsolve.graph_core import (DistanceMatrix, all_pairs_distances,
+                                 articulation_points, bfs_distances,
+                                 connected_components, induced_subgraph,
+                                 vertex_set)
+from megsolve.monitoring import (SATURATION_CAP, MegSetCheck,
+                                 geodesic_edge_masks, require_meg_input)
 
 
 def path_graph(k: int) -> Graph:
@@ -247,6 +248,32 @@ def full_scan_is_meg_set(G: Graph, members) -> MegSetCheck:
         if not covered:
             return MegSetCheck(False, (u, v))
     return MegSetCheck(True, None)
+
+
+def sorted_shortest_path_counts(G: Graph, cap: int = SATURATION_CAP):
+    """The package's former ``shortest_path_counts``: a distance BFS per
+    source, then counts summed over predecessors in sorted-distance order.
+    Reference for the single-BFS count, which must return the same
+    matrices."""
+    require_meg_input(G)
+    dist_rows = []
+    count_rows = []
+    for s in range(G.n):
+        dist = bfs_distances(G, s)
+        sigma = [0] * G.n
+        sigma[s] = 1
+        for v in sorted((x for x in range(G.n) if x != s), key=lambda x: dist[x]):
+            total = 0
+            for w in G.adj[v]:
+                if dist[w] + 1 == dist[v]:
+                    total += sigma[w]
+                    if total >= cap:
+                        total = cap
+                        break
+            sigma[v] = total
+        dist_rows.append(tuple(dist))
+        count_rows.append(tuple(sigma))
+    return DistanceMatrix(tuple(dist_rows)), tuple(count_rows)
 
 
 def brute_min_meg(G: Graph) -> tuple[int, tuple[int, ...]]:

@@ -23,7 +23,8 @@ from graphs_util import (all_connected_graphs, brute_is_meg, brute_mandatory,
                          connected_graph_classes, cycle_graph,
                          extended_graphs, full_scan_is_meg_set, path_graph,
                          per_x_is_mandatory, random_connected_graph,
-                         star_graph, with_universal)
+                         sorted_shortest_path_counts, star_graph,
+                         with_universal)
 
 
 def test_monitors_path_endpoints_cover_everything():
@@ -120,6 +121,23 @@ def test_counts_saturate_at_cap():
     _, counts = shortest_path_counts(G, cap=8)
     s0, s4 = G.id_of("s0"), G.id_of("s4")
     assert counts[s0][s4] == 8  # true count is 16
+
+
+def test_shortest_path_counts_match_sorted_reference():
+    """One BFS per source gives the matrices of the former sorted pass,
+    saturated counts included."""
+    rng = random.Random(70)
+    graphs = [random_connected_graph(rng, n, extra=rng.randrange(0, 2 * n))
+              for n in (2, 3, 5, 8, 12, 20) for _ in range(10)]
+    graphs += [stacked_diamonds(k) for k in range(1, 7)]
+    for G in graphs:
+        for cap in (SATURATION_CAP, 8):
+            got = shortest_path_counts(G, cap=cap)
+            assert got == sorted_shortest_path_counts(G, cap=cap)
+    G = stacked_diamonds(6)
+    s0, s6 = G.id_of("s0"), G.id_of("s6")
+    assert shortest_path_counts(G)[1][s0][s6] == 64
+    assert shortest_path_counts(G, cap=8)[1][s0][s6] == 8
 
 
 def test_counting_route_indeterminate_on_saturation():

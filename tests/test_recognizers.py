@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
-                      PruneSequence, PruneStep, SEO, articulation_points,
-                      build_graph, co_components, complement,
-                      connected_components, cut_vertices_via_strong_ordering,
-                      detect_spider, gen_bipartite_permutation,
+                      PruneSequence, PruneStep, SEO, StrongOrdering,
+                      articulation_points, bfs_distances, build_graph,
+                      co_components, complement, connected_components,
+                      cut_vertices_via_strong_ordering, detect_spider,
+                      gen_bipartite_permutation,
                       gen_bipartite_permutation_with_ordering,
                       gen_distance_hereditary, gen_p4_sparse,
                       gen_random_connected, gen_strongly_chordal, generate,
@@ -28,7 +29,8 @@ from megsolve.recognizers import _Pruning, _simple_chain, _spider_masks
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
                          brute_distance_hereditary, brute_p4_sparse,
-                         complete_bipartite, complete_graph, cycle_graph,
+                         complete_bipartite, complete_graph,
+                         connected_graph_classes, cycle_graph,
                          exhaustive_spider, extended_graphs, is_chordal,
                          path_graph, quadratic_strong_ordering,
                          random_connected_graph,
@@ -451,30 +453,89 @@ def test_bp_disconnected_rejected():
         recognize_bipartite_permutation(G)
 
 
-def test_bp_matches_definition_exhaustive_small():
-    for n in (2, 3, 4, 5):
-        for G in all_connected_graphs(n):
-            res = recognize_bipartite_permutation(G)
-            assert res.verdict in ("yes", "no")
-            assert (res.verdict == "yes") == brute_bipartite_permutation(G)
-    # Every labelled connected bipartite graph with sides 0..p-1 and
-    # p..n-1, p <= n - p, n <= 7.
-    checked = 0
+def _labelled_bipartite_graphs():
+    """Every labelled connected bipartite graph with sides 0..p-1 and
+    p..n-1, p <= n - p, n <= 7."""
     for n in range(2, 8):
         for p in range(1, n // 2 + 1):
             pairs = [(i, j) for i in range(p) for j in range(p, n)]
             for bits in range(1 << len(pairs)):
                 G = _bipartite(p, n - p, [e for k, e in enumerate(pairs)
                                           if bits >> k & 1])
-                if not is_connected(G):
-                    continue
-                checked += 1
-                res = recognize_bipartite_permutation(G)
-                assert (res.verdict == "yes") == brute_bipartite_permutation(G), (
-                    sorted(G.edges()))
-                if res.verdict == "yes":
-                    assert verify_strong_ordering(G, res.ordering)
+                if is_connected(G):
+                    yield G
+
+
+def test_bp_matches_definition_exhaustive_small():
+    for n in (2, 3, 4, 5):
+        for G in all_connected_graphs(n):
+            res = recognize_bipartite_permutation(G)
+            assert res.verdict in ("yes", "no")
+            assert (res.verdict == "yes") == brute_bipartite_permutation(G)
+    checked = 0
+    for G in _labelled_bipartite_graphs():
+        checked += 1
+        res = recognize_bipartite_permutation(G)
+        assert (res.verdict == "yes") == brute_bipartite_permutation(G), (
+            sorted(G.edges()))
+        if res.verdict == "yes":
+            assert verify_strong_ordering(G, res.ordering)
     assert checked == 2306
+
+
+def test_bp_builds_one_candidate(monkeypatch):
+    """One layered candidate per connected bipartite graph on two or more
+    vertices, "no" included; none once an odd cycle shows."""
+    starts = []
+    real = recognizers._layered_candidate
+
+    def spy(G, start):
+        starts.append(start)
+        return real(G, start)
+
+    monkeypatch.setattr(recognizers, "_layered_candidate", spy)
+
+    def candidates(G):
+        starts.clear()
+        recognize_bipartite_permutation(G)
+        return len(starts)
+
+    assert candidates(cycle_graph(200)) == 1
+    for n in (2, 3, 4, 5):
+        for G in all_connected_graphs(n):
+            dist = bfs_distances(G, 0)
+            bipartite = all(dist[u] != dist[v] for u, v in G.edges())
+            assert candidates(G) == (1 if bipartite else 0)
+    for G in _labelled_bipartite_graphs():
+        assert candidates(G) == 1
+
+
+def _low_degree_far_vertices(G, s):
+    """The minimum-degree vertices of the last BFS layer from s."""
+    dist = bfs_distances(G, s)
+    far = [v for v in range(G.n) if dist[v] == max(dist)]
+    low = min(len(G.adj[v]) for v in far)
+    return [v for v in far if len(G.adj[v]) == low]
+
+
+def test_bp_every_low_degree_far_vertex_starts_a_strong_ordering():
+    """The lemma behind the single start, whatever the tie-break: in a
+    connected bipartite permutation graph, every minimum-degree vertex of
+    the last BFS layer from any source starts a strong ordering, so the
+    candidate from it replays."""
+    rng = random.Random(1987)
+    members = [shuffled_ids(G, rng) for n in range(2, 8)
+               for G in connected_graph_classes(n)
+               if brute_bipartite_permutation(G)]
+    assert len(members) == 64
+    for i in range(150):
+        members.append(shuffled_ids(gen_bipartite_permutation(
+            rng.randint(1, 30), rng.randint(1, 30), seed=i), rng))
+    for G in members:
+        for s in range(G.n):
+            for z in _low_degree_far_vertices(G, s):
+                so = StrongOrdering(*recognizers._layered_candidate(G, z))
+                assert verify_strong_ordering(G, so), (sorted(G.edges()), s, z)
 
 
 def test_bp_decides_shuffled_generated_graphs():
@@ -504,15 +565,18 @@ def test_bp_results_hash():
     assert len({res, again, recognize_bipartite_permutation(cycle_graph(5))}) == 2
 
 
-def test_bp_member_needing_a_start_beyond_the_double_sweep():
-    """Neither double-sweep endpoint (v1, then v0) starts a strong
-    ordering here; a later start does."""
+def test_bp_member_started_at_a_low_degree_far_vertex():
+    """The last BFS layer from 0 is {1, 2, 3}. The candidate starts at 2,
+    the lower id of its two degree-1 vertices; the one from the degree-4
+    vertex 1 is not strong."""
     G = _bipartite(4, 4, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5),
                           (1, 6), (1, 7), (2, 5), (3, 4)])
     res = recognize_bipartite_permutation(G)
     assert res.verdict == "yes"
     assert verify_strong_ordering(G, res.ordering)
-    assert res.ordering.x_order[0] not in (0, 1)
+    assert res.ordering.x_order[0] == 2
+    assert not verify_strong_ordering(
+        G, StrongOrdering(*recognizers._layered_candidate(G, 1)))
 
 
 def test_bp_decides_distance_hereditary_member():
