@@ -8,7 +8,17 @@ definition of ``monitoring.monitors``; it is precomputed once per graph so
 subset tests reduce to bitmask unions. One iterative kernel,
 ``_covering_subsets``, walks the subsets of one size and keeps the union of
 each prefix, so consecutive subsets share the work of their common prefix.
-It tests every subset it counts; it prunes none.
+
+The kernel is bit-sliced. With m edges, a field is w = m + 1 bits: m
+coverage bits and a guard bit on top that stays 0. A frame keeps, for each
+later position, the pairs that position would add to its prefix, packed as
+one int with field i for the i-th later position. A child frame is two
+shifts and an OR; a leaf frame tests all its subsets with one addition:
+adding 1 to every field carries into a field's guard bit exactly when that
+field is all ones, and never beyond it, so the guard bits mark the covering
+subsets. Hits are read off lowest field first, which is the order in which
+the subsets are counted, so ranks, ``explored`` and witnesses are those of a
+subset-by-subset scan. It tests every subset it counts; it prunes none.
 """
 
 from __future__ import annotations
@@ -51,38 +61,63 @@ def _pair_cover_masks(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def _covering_subsets(pair, seeds, acc0: int, size: int, full: int):
     """Every ``size``-subset P of the positions ``0 .. len(pair) - 1`` whose
-    coverage ``acc0 | OR seeds[p] | OR pair[p][q]`` (p, q in P) is ``full``.
+    coverage ``acc0 | OR seeds[p] | OR pair[p][q]`` (p, q in P) is ``full``,
+    where ``full`` is ``2**m - 1`` and every mask lies within it.
 
     Yields (rank, P) with rank the 1-based place of P among all
     ``size``-subsets in ``itertools.combinations`` order, which is also
-    the order of the hits. Every subset is tested. Each frame of the
-    iterative walk holds one prefix: its coverage, and per later position
-    p the pairs p would add to it (``tails``). A child frame folds one
-    more pair row into the parent's tails, one OR per later position, and
-    the last position tests ``acc | tails[i]``, one OR per subset, instead
-    of rescanning the |P|^2 / 2 pairs of every subset.
+    the order of the hits. Every subset is tested.
+
+    Layout: a field is w = m + 1 bits, and a packed int holds field i at
+    bits w*i .. w*i + m, its top bit a guard that stays 0. ``rows[p]``
+    packs ``pair[p][q]`` for every q > p at field q - p - 1. Each frame of
+    the iterative walk holds one prefix: its coverage ``acc`` and
+    ``tails``, whose field i is what position ``start + i`` would add to
+    it. The child that appends p = start + i takes ``acc`` plus field i,
+    and ``tails`` shifted past field i ORed with ``rows[p]``, so that its
+    field 0 is again position p + 1.
+
+    At the last position the frame's L subsets differ in one position
+    only. Field i of ``tails | acc * ones`` is the coverage of the i-th,
+    and adding ``ones`` (a 1 in each field) carries into the guard bit of
+    field i exactly when that coverage is all ones; the guard was 0, so
+    no carry reaches field i + 1. The guard bits, shifted down by m, are
+    the hits. Leaves pop in lexicographic order of their prefixes and
+    each holds the next L subsets, so the i-th has rank ``rank + i + 1``;
+    reading the hits lowest first keeps combinations order.
     """
     if size == 0:
         if acc0 == full:
             yield 1, ()
         return
+    n = len(pair)
+    m = full.bit_length()
+    w = m + 1
+    ones = [sum(1 << w * i for i in range(L)) for L in range(n + 1)]
+    rows = [sum(pair[p][q] << w * (q - p - 1) for q in range(p + 1, n))
+            for p in range(n)]
+    tails = sum(seed << w * q for q, seed in enumerate(seeds))
     rank = 0
-    stack = [(acc0, list(seeds), 0, ())]
+    stack = [(acc0, tails, 0, ())]
     while stack:
         acc, tails, start, prefix = stack.pop()
         left = size - len(prefix)
+        L = n - start
         if left == 1:
-            for i, t in enumerate(tails):
-                if acc | t == full:
-                    yield rank + i + 1, prefix + (start + i,)
-            rank += len(tails)
+            hits = ((tails | acc * ones[L]) + ones[L]) >> m & ones[L]
+            while hits:
+                low = hits & -hits
+                i = (low.bit_length() - 1) // w
+                yield rank + i + 1, prefix + (start + i,)
+                hits ^= low
+            rank += L
             continue
         # Children pushed last-first, so they pop in ascending order.
-        for i in range(len(tails) - left, -1, -1):
+        for i in range(L - left, -1, -1):
             p = start + i
-            row = pair[p]
-            later = [t | row[q] for q, t in enumerate(tails[i + 1:], p + 1)]
-            stack.append((acc | tails[i], later, p + 1, prefix + (p,)))
+            stack.append((acc | tails >> w * i & full,
+                          tails >> w * (i + 1) | rows[p], p + 1,
+                          prefix + (p,)))
 
 
 def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,

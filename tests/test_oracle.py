@@ -8,6 +8,7 @@ from megsolve import (LimitExceededError, all_min_meg_sets,
                       mandatory_bruteforce, mandatory_vertices,
                       min_meg_bruteforce)
 from megsolve.graph_core import articulation_points
+from megsolve.oracle import _covering_subsets
 
 from graphs_util import (all_connected_graphs, brute_all_min_meg,
                          brute_min_meg, complete_graph,
@@ -175,3 +176,123 @@ def test_trusted_search_counts_untested_small_subsets():
                 got = (res.meg, res.witness, res.explored, res.trusted_bounds)
                 assert got == rescan_min_meg(G)
     assert small == {0: 5, 1: 6}
+
+
+def _combinations_covering(pair, seeds, acc0, size, full):
+    """The kernel's contract, one subset at a time."""
+    hits = []
+    subsets = itertools.combinations(range(len(pair)), size)
+    for rank, P in enumerate(subsets, 1):
+        acc = acc0
+        for i, p in enumerate(P):
+            acc |= seeds[p]
+            for q in P[i + 1:]:
+                acc |= pair[p][q]
+        if acc == full:
+            hits.append((rank, P))
+    return hits
+
+
+def _random_cover_instance(rng, N, width, seeded):
+    """Symmetric pair masks over ``width`` bits. Each bit takes one of a
+    few cover patterns: a handful of random pairs or, when ``seeded``,
+    ``acc0`` or one seed. Few patterns keep hits common at every width."""
+    patterns = []
+    for _ in range(rng.randrange(1, 5)):
+        if seeded and rng.random() < 0.3:
+            patterns.append(rng.choice([None] + list(range(N))))
+        else:
+            count = rng.randrange(1, 2 * N + 2) if N >= 2 else 0
+            patterns.append([rng.sample(range(N), 2) for _ in range(count)])
+    pair = [[0] * N for _ in range(N)]
+    seeds = [0] * N
+    acc0 = 0
+    for bit in range(width):
+        pattern = rng.choice(patterns)
+        if pattern is None:
+            acc0 |= 1 << bit
+        elif isinstance(pattern, int):
+            seeds[pattern] |= 1 << bit
+        else:
+            for p, q in pattern:
+                pair[p][q] |= 1 << bit
+                pair[q][p] |= 1 << bit
+    return pair, seeds, acc0
+
+
+def test_covering_subsets_matches_combinations():
+    # Fields of 2 to 131 bits, so packed fields straddle machine words.
+    rng = random.Random(20261019)
+    for width in (1, 63, 64, 65, 130):
+        full = (1 << width) - 1
+        hits = same_leaf = seeded_hits = 0
+        for N in range(11):
+            for seeded in (False, True):
+                for _ in range(3):
+                    pair, seeds, acc0 = _random_cover_instance(
+                        rng, N, width, seeded)
+                    for size in range(N + 1):
+                        want = _combinations_covering(pair, seeds, acc0,
+                                                      size, full)
+                        got = list(_covering_subsets(pair, seeds, acc0,
+                                                     size, full))
+                        assert got == want, (width, N, size, seeded)
+                        hits += len(got)
+                        same_leaf += sum(a[1][:-1] == b[1][:-1]
+                                         for a, b in zip(got, got[1:]))
+                        if acc0 or any(seeds):
+                            seeded_hits += len(got)
+        # Many hits share a leaf frame, so their order within it is tested.
+        assert hits > 1000 and same_leaf > 500 and seeded_hits > 100, width
+
+
+# (meg, witness, explored) in trusted and raw mode, recorded from the
+# list-based kernel on the benchmark's largest sizes; n > 12 is beyond
+# the rescan comparisons above.
+_PINNED_SEARCHES = {
+    (15, 22, 1): [(10, (2, 4, 5, 6, 7, 8, 9, 10, 12, 13), 9),
+                  (10, (2, 4, 5, 6, 7, 8, 9, 10, 12, 13), 30694)],
+    (15, 22, 2): [(9, (1, 3, 6, 7, 8, 10, 12, 13, 14), 14),
+                  (9, (1, 3, 6, 7, 8, 10, 12, 13, 14), 26906)],
+    (15, 45, 1): [(15, tuple(range(15)), 1), (15, tuple(range(15)), 32752)],
+    (15, 45, 2): [(15, tuple(range(15)), 1), (15, tuple(range(15)), 32752)],
+    (16, 24, 1): [(11, (1, 2, 3, 4, 5, 8, 9, 11, 12, 13, 15), 106),
+                  (11, (1, 2, 3, 4, 5, 8, 9, 11, 12, 13, 15), 61831)],
+    (16, 24, 2): [(8, (5, 7, 8, 10, 11, 12, 14, 15), 28),
+                  (8, (5, 7, 8, 10, 11, 12, 14, 15), 39123)],
+    (16, 48, 1): [(16, tuple(range(16)), 1), (16, tuple(range(16)), 65519)],
+    (16, 48, 2): [(16, tuple(range(16)), 1), (16, tuple(range(16)), 65519)],
+}
+
+
+@pytest.mark.parametrize("n, m, seed", sorted(_PINNED_SEARCHES))
+def test_search_pinned_at_benchmark_sizes(n, m, seed):
+    G = gen_random_connected(n, m, seed)
+    got = []
+    for trust in (True, False):
+        res = min_meg_bruteforce(G, trust_bounds=trust, limit=16)
+        got.append((res.meg, res.witness, res.explored))
+    assert got == _PINNED_SEARCHES[n, m, seed]
+
+
+def test_all_min_meg_sets_pinned_at_benchmark_sizes():
+    assert all_min_meg_sets(gen_random_connected(15, 22, 1), limit=16) == [
+        (2, 4, 5, 6, 7, 8, 9, 10, 12, 13), (2, 4, 5, 6, 7, 8, 9, 10, 13, 14),
+        (4, 5, 6, 7, 8, 9, 10, 11, 12, 13), (4, 5, 6, 7, 8, 9, 10, 11, 13, 14)]
+    assert all_min_meg_sets(gen_random_connected(16, 24, 1), limit=16) == [
+        (1, 2, 3, 4, 5, 8, 9, 11, 12, 13, 15),
+        (1, 2, 4, 5, 6, 8, 9, 11, 12, 13, 15),
+        (2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 15),
+        (2, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15),
+        (2, 4, 5, 6, 8, 9, 10, 11, 12, 13, 15),
+        (2, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15)]
+
+
+def test_search_pinned_at_widest_and_narrowest_fields():
+    # K12 packs 66-bit coverage per field, P2 a single bit.
+    for G, raw_explored in ((complete_graph(12), 4083), (path_graph(2), 1)):
+        _assert_search_matches_rescan(G)
+        for trust, explored in ((True, 1), (False, raw_explored)):
+            res = min_meg_bruteforce(G, trust_bounds=trust)
+            assert (res.meg, res.witness, res.explored) == (
+                G.n, tuple(range(G.n)), explored)
