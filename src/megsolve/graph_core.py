@@ -9,10 +9,11 @@ accept a ``skip_edge`` parameter instead of mutating the graph.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from operator import eq
+from itertools import chain, count, filterfalse
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, SelfLoopError
@@ -45,30 +46,29 @@ class Graph:
         if len(index) != len(labels):
             raise ValueError("duplicate vertex labels")
         n = len(labels)
-        us: list[int] = []
-        vs: list[int] = []
+        ids: list[int] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise SelfLoopError(labels[u])
-            us.append(u)
-            vs.append(v)
-        self._fill(labels, index, us, vs)
+            ids.append(u)
+            ids.append(v)
+        self._fill(index, ids)
 
-    def _fill(self, labels: tuple[str, ...], index: dict[str, int],
-              us: Sequence[int], vs: Sequence[int]) -> None:
-        """Set every field from checked input: distinct labels, ``index``
-        mapping each label to its position, and loop-free edges
-        ``(us[i], vs[i])`` given as in-range ids (duplicates allowed)."""
-        n = len(labels)
+    def _fill(self, index: dict[str, int], ids: Sequence[int]) -> None:
+        """Set every field from checked input: ``index`` maps distinct
+        labels to 0..n-1 in id order, and ``ids`` lists loop-free edges as
+        in-range ids ``u0, v0, u1, v1, ...`` (duplicates allowed)."""
+        n = len(index)
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
             nbrs[u].append(v)
             nbrs[v].append(u)
         adj = tuple([tuple(sorted(set(x))) for x in nbrs])
         bit = [1 << i for i in range(n)]
-        self.labels = labels
+        self.labels = tuple(index)
         self.n = n
         self.adj = adj
         self.m = sum(map(len, adj)) // 2
@@ -126,23 +126,41 @@ def build_graph(edges: Iterable[tuple[str, str]],
     collapse; self-loops are rejected.
     """
     flat = [str(x) for a, b in edges for x in (a, b)]
-    return _graph_from_tokens(flat, map(str, vertices or ()))
+    index: dict[str, int] = {}
+    _intern(index, map(str, vertices or ()))
+    return _graph_from_ids(index, _ids(index, flat) if flat else ())
 
 
-def _graph_from_tokens(flat: list[str], declared: Iterable[str] | None) -> Graph:
-    """Graph from the flat label list ``a0, b0, a1, b1, ...`` of its edges.
+def _intern(index: dict[str, int], labels: Iterable[str]) -> None:
+    """Give each of ``labels`` not yet in ``index`` the next free id, in
+    order of first appearance; the loop runs in C."""
+    index.update(zip(filterfalse(index.__contains__, dict.fromkeys(labels)),
+                     count(len(index))))
 
-    Declared labels take the first ids, then labels in order of first
-    appearance in ``flat``; the label index built here becomes the graph's.
-    """
-    labels = tuple(dict.fromkeys(chain(declared or (), flat)))
-    index = dict(zip(labels, range(len(labels))))
-    ids = list(map(index.__getitem__, flat))
-    us, vs = ids[::2], ids[1::2]
-    if any(map(eq, us, vs)):
-        raise SelfLoopError(labels[next(u for u, v in zip(us, vs) if u == v)])
+
+def _ids(index: dict[str, int], labels: list[str]) -> tuple[int, ...]:
+    """The ids of ``labels`` (two or more), interning any new ones first.
+    Labels already declared by a vertex header are usually all known, and
+    then the interning pass is skipped."""
+    get = itemgetter(*labels)
+    try:
+        return get(index)
+    except KeyError:
+        _intern(index, labels)
+        return get(index)
+
+
+def _graph_from_ids(index: dict[str, int], ids: Sequence[int]) -> Graph:
+    """Graph over the labels of ``index`` (ids in order) with the edges
+    ``ids[0]-ids[1], ids[2]-ids[3], ...``; a self-loop raises, naming the
+    first one. ``index`` becomes the graph's label index."""
+    pairs = iter(ids)
+    if any(map(eq, pairs, pairs)):
+        pairs = iter(ids)
+        loop = next(u for u, v in zip(pairs, pairs) if u == v)
+        raise SelfLoopError(tuple(index)[loop])
     G = Graph.__new__(Graph)
-    G._fill(labels, index, us, vs)
+    G._fill(index, ids)
     return G
 
 
@@ -359,28 +377,82 @@ def co_components(G: Graph) -> list[tuple[int, ...]]:
 # vertex header, even when the line holds exactly two tokens.
 _NOT_EDGE = ("#", "vertices:")
 
+# Every line that is neither blank nor an edge line (exactly two tokens,
+# the first not starting with '#' or 'vertices:'), as group 1, once all
+# line breaks are "\n": the first line by ``match``, the others by
+# ``finditer``, whose search then jumps from "\n" to "\n". The blank test
+# comes second, so an edge line never reaches it; blank lines can stay
+# among the edge lines, as ``str.split`` skips them. The re module's
+# ``\s`` and ``str.split`` share one whitespace test, so ``[^\S\n]`` is
+# whitespace within a line.
+_OTHER_LINE = (r"((?![^\S\n]*(?!#|vertices:)\S+[^\S\n]+\S+[^\S\n]*$)"
+               r"(?=[^\S\n]*\S).*)")
+_FIRST_LINE = re.compile(_OTHER_LINE, re.M)
+_LATER_LINE = re.compile("\n" + _OTHER_LINE, re.M)
+# Characters of edge lines split at a time: large enough that the per-chunk
+# work stays in C, small enough that a chunk's label strings are a small
+# share of a large read.
+_CHUNK = 1 << 16
 
-def _scan(text: str) -> tuple[list[str], list[str] | None]:
-    """One pass over edge-list text: the flat edge labels ``a0, b0, a1, b1,
-    ...`` and the declared vertices (``None`` without a header)."""
-    lines = text.splitlines()
-    flat: list[str] = []
-    declared: list[str] | None = None
-    for line_no, parts in enumerate(map(str.split, lines), start=1):
-        if len(parts) == 2 and not parts[0].startswith(_NOT_EDGE):
-            flat += parts
+
+def _lf_lines(text: str) -> str:
+    """``text`` with every line break written as "\\n", holding the lines
+    of ``text.splitlines()`` under the same numbers."""
+    lf = text.replace("\r\n", "\n")
+    if ("\r" in lf or "\x0b" in lf or "\x0c" in lf or "\x1c" in lf
+            or "\x1d" in lf or "\x1e" in lf or not text.isascii() and (
+                "\x85" in lf or "\u2028" in lf or "\u2029" in lf)):
+        # From the original: after the replace, "\r\r\n" is one break.
+        return "\n".join(text.splitlines())
+    return lf
+
+
+def _read(text: str, index: dict[str, int]) -> tuple[list[str] | None, list[int]]:
+    """Read edge-list text into ``index`` (empty on entry): its declared
+    vertices (``None`` without a header) and the ids ``a0, b0, a1, b1,
+    ...`` of its edge lines, with the declared labels interned first.
+
+    One regex pass finds the comment, header and malformed lines and
+    checks them in order; it keeps only where each run of edge lines
+    between them starts and ends. Those runs are then split about
+    ``_CHUNK`` characters at a time, cut only at a "\\n", and each chunk's
+    labels are interned and mapped to ids before the next is split, so no
+    list of the lines or of all the label strings is built."""
+    text = _lf_lines(text)
+    declared = None
+    runs: list[tuple[int, int]] = []
+    pos = 0
+    first = _FIRST_LINE.match(text)
+    for line in chain((first,) if first else (), _LATER_LINE.finditer(text)):
+        start, end = line.span(1)
+        if pos < start:
+            runs.append((pos, start))
+        pos = end + 1  # past the "\n" that ends the line
+        body = line.group(1).strip()
+        if body[0] == "#":
             continue
-        line = lines[line_no - 1].strip()
-        if not line or line.startswith("#"):
+        if body.startswith("vertices:") and declared is None:
+            declared = body[len("vertices:"):].split()
             continue
-        if line.startswith("vertices:"):
-            if declared is not None:
-                raise EdgeListParseError(line_no, "duplicate vertices header")
-            declared = line[len("vertices:"):].split()
-            continue
+        line_no = text.count("\n", 0, start) + 1
+        if body.startswith("vertices:"):
+            raise EdgeListParseError(line_no, "duplicate vertices header")
         raise EdgeListParseError(
-            line_no, f"expected two labels, got {len(parts)}: {line!r}")
-    return flat, declared
+            line_no, f"expected two labels, got {len(body.split())}: {body!r}")
+    runs.append((pos, len(text)))
+    if declared:
+        _intern(index, declared)
+    ids: list[int] = []
+    for start, end in runs:
+        while start < end:
+            cut = text.find("\n", start + _CHUNK, end)
+            if cut < 0:
+                cut = end
+            tokens = text[start:cut].split()
+            if tokens:  # a cut at end - 1 leaves a last chunk of one "\n"
+                ids += _ids(index, tokens)
+            start = cut
+    return declared, ids
 
 
 def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]:
@@ -389,25 +461,40 @@ def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]
     Lines starting with '#' and blank lines are ignored. One optional
     ``vertices:`` header declares labels (allowing isolated vertices);
     every other line must hold exactly two whitespace-separated labels.
-    Malformed lines raise ``EdgeListParseError`` with their 1-based line
-    number; self-loops are left to the graph builder.
+    Lines end at any ``str.splitlines`` break. Malformed lines raise
+    ``EdgeListParseError`` with their 1-based line number; self-loops are
+    left to the graph builder.
     """
-    flat, declared = _scan(text)
-    return list(zip(flat[::2], flat[1::2])), declared
+    index: dict[str, int] = {}
+    declared, ids = _read(text, index)
+    labels = iter(map(tuple(index).__getitem__, ids))
+    return list(zip(labels, labels)), declared
 
 
 def graph_from_edge_list(text: str) -> Graph:
-    """Read edge-list text into a graph in one pass, as ``parse_edge_list``
-    followed by ``build_graph`` would: declared labels take the first ids
-    wherever the header sits, then labels in order of first appearance.
-    Every malformed line raises before any self-loop does."""
-    return _graph_from_tokens(*_scan(text))
+    """Read edge-list text into a graph, as ``parse_edge_list`` followed
+    by ``build_graph`` would: declared labels take the first ids wherever
+    the header sits, then labels in order of first appearance. Every
+    malformed line raises before any self-loop does. The reader holds the
+    text, the label index and one id per edge end, never a list of the
+    lines or of all the label strings."""
+    index: dict[str, int] = {}
+    ids = _read(text, index)[1]
+    del text  # a caller that passed its only reference frees it here
+    return _graph_from_ids(index, ids)
 
 
 def read_graph_file(path: str) -> Graph:
-    """Read a UTF-8 edge-list file. Bytes that are not UTF-8 raise
-    ``EdgeListParseError`` naming the line of the first one, numbered as
-    the parser numbers lines (``str.splitlines``)."""
+    """Read a UTF-8 edge-list file; one leading byte-order mark is
+    skipped. Bytes that are not UTF-8 raise ``EdgeListParseError`` naming
+    the line of the first one, numbered as the parser numbers lines
+    (``str.splitlines``). The file's bytes and text are freed before the
+    graph is built."""
+    return graph_from_edge_list(_file_text(path))
+
+
+def _file_text(path: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -416,7 +503,7 @@ def read_graph_file(path: str) -> Graph:
         valid = data[:exc.start].decode("utf-8")
         raise EdgeListParseError(len((valid + "x").splitlines()),
                                  str(exc)) from None
-    return graph_from_edge_list(text)
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def format_edge_list(G: Graph, header_comments: Iterable[str] = ()) -> str:

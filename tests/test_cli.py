@@ -376,8 +376,9 @@ def test_bench_keeps_going_past_unreadable_files(tmp_path, capsys):
     (b"a b\n\xff", 2),
     (b"a b\r\nb c\r\n\r\nc d \xe2\x82", 4),  # CRLF, truncated character
     (b"# \xc3\xa9t\xc3\xa9\na b\rb c\n\xc0\xaf\n", 4),  # lone CR breaks too
+    (b"\xef\xbb\xbfa b\r\nb c\r\n\xff c\r\n", 3),  # after a byte-order mark
 ], ids=["third-line", "first-byte", "after-newline", "crlf-truncated",
-        "lone-cr"])
+        "lone-cr", "after-bom"])
 def test_undecodable_byte_names_its_line(tmp_path, capsys, data, line_no):
     path = tmp_path / "bad.edges"
     path.write_bytes(data)
@@ -388,6 +389,30 @@ def test_undecodable_byte_names_its_line(tmp_path, capsys, data, line_no):
     with pytest.raises(EdgeListParseError) as info:
         cli.read_graph_file(str(path))
     assert info.value.line_no == line_no
+
+
+@pytest.mark.parametrize("text", [
+    "# gen\nvertices: a b c\na b\nb c\n",
+    "a b\nb c\n",
+    "vertices: a b c\r\na b\r\nb c\r\n",
+], ids=["header", "plain", "crlf"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, text):
+    plain, marked = tmp_path / "plain.edges", tmp_path / "bom.edges"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    G = read_graph_file(str(plain))
+    assert read_graph_file(str(marked)) == G
+    assert G.labels == ("a", "b", "c")
+    reports = [json.loads(run(capsys, "meg", str(p))[1]) for p in (plain, marked)]
+    assert reports[0]["result"] == reports[1]["result"]
+    assert reports[0]["input"]["labels"] == reports[1]["input"]["labels"]
+
+
+def test_byte_order_mark_elsewhere_stays_in_its_label(tmp_path):
+    path = tmp_path / "boms.edges"
+    path.write_bytes("\ufeff\ufeffa b\nb \ufeffc\n".encode())
+    assert read_graph_file(str(path)).labels == ("\ufeffa", "b", "\ufeffc")
+    assert graph_from_edge_list("\ufeffa b\n").labels == ("\ufeffa", "b")
 
 
 def test_unknown_method_rejected_by_argparse(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from megsolve import (EdgeListParseError, Graph, INF, SelfLoopError,
                       gen_strongly_chordal, graph_from_edge_list,
                       induced_subgraph, is_connected, parse_edge_list,
                       spider_graph, vertex_set)
+from megsolve import graph_core
 from megsolve.graph_core import blocks, iter_bits
 
 from graphs_util import (all_connected_graphs, brute_articulation,
@@ -386,8 +388,11 @@ def test_reader_matches_two_stage_reference_on_cases(text):
     assert_reads_like_two_stage(text)
 
 
-_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028")
-_GAPS = (" ", "  ", "\t", "\xa0", "\u3000", " \t ")
+# "\r\r\n" and "\r\n\r" are two breaks each; "\x1f" is whitespace that does
+# not break a line.
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029", "\r\r\n", "\r\n\r")
+_GAPS = (" ", "  ", "\t", "\xa0", "\u3000", " \t ", "\x1f")
 _POOL = ("a", "b", "c", "d", "v1", "v2", "x#", "#a", "vertices:x")
 
 
@@ -409,17 +414,48 @@ def _fuzz_line(rng):
     return pad() + rng.choice(("e", "f")) + gap() + rng.choice(("a", "g"))
 
 
-def test_reader_matches_two_stage_reference_fuzz():
+def _fuzz_texts():
     rng = random.Random(20261017)
-    kinds = {"ok": 0, EdgeListParseError: 0, SelfLoopError: 0}
     for _ in range(3000):
         lines = [_fuzz_line(rng) for _ in range(rng.randrange(0, 12))]
         text = "".join(line + rng.choice(_BREAKS) for line in lines)
         if lines and rng.random() < 0.3:
             text = text[:-1]
+        yield text
+
+
+def test_reader_matches_two_stage_reference_fuzz():
+    kinds = {"ok": 0, EdgeListParseError: 0, SelfLoopError: 0}
+    for text in _fuzz_texts():
         expected = assert_reads_like_two_stage(text)
         kinds[expected[0] if expected[0] in kinds else "ok"] += 1
     assert min(kinds.values()) > 300, kinds
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_reader_matches_two_stage_reference_in_small_chunks(monkeypatch, chunk):
+    """Chunks this small cut the edge lines at nearly every line break, so
+    cuts land next to every kind of line the cases and the fuzz hold."""
+    monkeypatch.setattr(graph_core, "_CHUNK", chunk)
+    for text in itertools.chain(READER_CASES, _fuzz_texts()):
+        assert_reads_like_two_stage(text)
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+def test_reader_memory_is_linear_in_the_text(crlf):
+    """Beyond the graph it returns, the reader holds a few bytes per byte
+    of text: never a list of the lines or of all the label strings."""
+    text = format_edge_list(gen_strongly_chordal(1000, 1))
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    tracemalloc.start()
+    try:
+        G = graph_from_edge_list(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.m > 50000
+    assert peak - retained < 6 * len(text)
 
 
 FAMILIES = {
@@ -431,6 +467,16 @@ FAMILIES = {
     "random": lambda n: gen_random_connected(n, 2 * n, 3),
     "spider": lambda n: spider_graph(n // 3, head=n - 2 * (n // 3)),
 }
+
+
+def test_generator_roundtrip_in_many_chunks(monkeypatch):
+    monkeypatch.setattr(graph_core, "_CHUNK", 64)
+    G = FAMILIES["sc-interval"](1000)
+    text = format_edge_list(G, header_comments=["sc-interval"])
+    assert len(text) > 1000 * 64
+    again = graph_from_edge_list(text)
+    assert again == G and again.adj_masks == G.adj_masks and again.m == G.m
+    assert _read_outcome(text) == _two_stage_outcome(text)
 
 
 @pytest.mark.parametrize("n", [12, 200, 1000])
