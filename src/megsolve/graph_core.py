@@ -384,9 +384,10 @@ _NOT_EDGE = ("#", "vertices:")
 # comes second, so an edge line never reaches it; blank lines can stay
 # among the edge lines, as ``str.split`` skips them. The re module's
 # ``\s`` and ``str.split`` share one whitespace test, so ``[^\S\n]`` is
-# whitespace within a line.
+# whitespace within a line. The tail after group 1 takes the comment lines
+# that follow, so a run of comments costs one match; only group 1 is read.
 _OTHER_LINE = (r"((?![^\S\n]*(?!#|vertices:)\S+[^\S\n]+\S+[^\S\n]*$)"
-               r"(?=[^\S\n]*\S).*)")
+               r"(?=[^\S\n]*\S).*)(?:\n[^\S\n]*#.*)*")
 _FIRST_LINE = re.compile(_OTHER_LINE, re.M)
 _LATER_LINE = re.compile("\n" + _OTHER_LINE, re.M)
 # Characters of edge lines split at a time: large enough that the per-chunk
@@ -413,7 +414,8 @@ def _read(text: str, index: dict[str, int]) -> tuple[list[str] | None, list[int]
     ...`` of its edge lines, with the declared labels interned first.
 
     One regex pass finds the comment, header and malformed lines and
-    checks them in order; it keeps only where each run of edge lines
+    checks them in order, a line with the comment lines right after it
+    as one match; it keeps only where each run of edge lines
     between them starts and ends. Those runs are then split about
     ``_CHUNK`` characters at a time, cut only at a "\\n", and each chunk's
     labels are interned and mapped to ids before the next is split, so no
@@ -424,10 +426,10 @@ def _read(text: str, index: dict[str, int]) -> tuple[list[str] | None, list[int]
     pos = 0
     first = _FIRST_LINE.match(text)
     for line in chain((first,) if first else (), _LATER_LINE.finditer(text)):
-        start, end = line.span(1)
+        start = line.start(1)
         if pos < start:
             runs.append((pos, start))
-        pos = end + 1  # past the "\n" that ends the line
+        pos = line.end() + 1  # past the "\n" that ends the last line
         body = line.group(1).strip()
         if body[0] == "#":
             continue

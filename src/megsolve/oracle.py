@@ -10,15 +10,19 @@ subset tests reduce to bitmask unions. One iterative kernel,
 each prefix, so consecutive subsets share the work of their common prefix.
 
 The kernel is bit-sliced. With m edges, a field is w = m + 1 bits: m
-coverage bits and a guard bit on top that stays 0. A frame keeps, for each
-later position, the pairs that position would add to its prefix, packed as
-one int with field i for the i-th later position. A child frame is two
-shifts and an OR; a leaf frame tests all its subsets with one addition:
-adding 1 to every field carries into a field's guard bit exactly when that
-field is all ones, and never beyond it, so the guard bits mark the covering
-subsets. Hits are read off lowest field first, which is the order in which
-the subsets are counted, so ranks, ``explored`` and witnesses are those of a
-subset-by-subset scan. It tests every subset it counts; it prunes none.
+coverage bits and a guard bit on top that stays 0. ``_pack`` builds the
+packed rows once per search, and every size is walked from them. A frame
+keeps, for each later position, the pairs that position would add to its
+prefix, packed as one int with field i for the i-th later position; the
+prefix itself lives in one path array indexed by depth. A child frame is
+two shifts and an OR. A frame two positions short of the size pushes no
+children: it walks them in one loop, and each child tests all its subsets
+with one addition: adding 1 to every field carries into a field's guard
+bit exactly when that field is all ones, and never beyond it, so the guard
+bits mark the covering subsets. Hits are read off lowest field first,
+which is the order in which the subsets are counted, so ranks,
+``explored`` and witnesses are those of a subset-by-subset scan. It tests
+every subset it counts; it prunes none.
 """
 
 from __future__ import annotations
@@ -59,65 +63,99 @@ def _pair_cover_masks(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return (1 << G.m) - 1, geodesic_edge_masks(G)
 
 
-def _covering_subsets(pair, seeds, acc0: int, size: int, full: int):
-    """Every ``size``-subset P of the positions ``0 .. len(pair) - 1`` whose
-    coverage ``acc0 | OR seeds[p] | OR pair[p][q]`` (p, q in P) is ``full``,
-    where ``full`` is ``2**m - 1`` and every mask lies within it.
+def _pack(pair, seeds, full: int):
+    """Pack the search over positions ``0 .. len(pair) - 1`` once, for
+    every subset size: returns (full, w, ones, rows, tails).
+
+    A field is w = m + 1 bits, where ``full`` is ``2**m - 1`` and every
+    mask lies within it, and a packed int holds field i at bits
+    w*i .. w*i + m, its top bit a guard that stays 0. ``ones[L]`` has a 1
+    in each of fields 0 .. L - 1. ``rows[p]`` packs ``pair[p][q]`` for
+    every q > p at field q - p - 1, and ``tails`` packs ``seeds[q]`` at
+    field q.
+    """
+    n = len(pair)
+    w = full.bit_length() + 1
+    ones = [sum(1 << w * i for i in range(L)) for L in range(n + 1)]
+    rows = [sum(pair[p][q] << w * (q - p - 1) for q in range(p + 1, n))
+            for p in range(n)]
+    tails = sum(seed << w * q for q, seed in enumerate(seeds))
+    return full, w, ones, rows, tails
+
+
+def _covering_subsets(packed, acc0: int, size: int):
+    """Every ``size``-subset P of the positions packed by ``_pack`` whose
+    coverage ``acc0 | OR seeds[p] | OR pair[p][q]`` (p, q in P) is
+    ``full``.
 
     Yields (rank, P) with rank the 1-based place of P among all
     ``size``-subsets in ``itertools.combinations`` order, which is also
     the order of the hits. Every subset is tested.
 
-    Layout: a field is w = m + 1 bits, and a packed int holds field i at
-    bits w*i .. w*i + m, its top bit a guard that stays 0. ``rows[p]``
-    packs ``pair[p][q]`` for every q > p at field q - p - 1. Each frame of
-    the iterative walk holds one prefix: its coverage ``acc`` and
-    ``tails``, whose field i is what position ``start + i`` would add to
-    it. The child that appends p = start + i takes ``acc`` plus field i,
-    and ``tails`` shifted past field i ORed with ``rows[p]``, so that its
-    field 0 is again position p + 1.
+    Each frame of the iterative walk holds one prefix: its coverage
+    ``acc`` and ``tails``, whose field i is what position ``start + i``
+    would add to it. The child that appends p = start + i takes ``acc``
+    plus field i, and ``tails`` shifted past field i ORed with
+    ``rows[p]``, so that its field 0 is again position p + 1. A frame
+    carries only its depth and last position (-1 at the root);
+    ``path[d]`` holds the position taken at depth d, so the prefix of the
+    frame being walked is ``path[1 : depth + 1]``. Frames pop in lexicographic order of their
+    prefixes, so each pop overwrites only entries of prefixes already done.
 
-    At the last position the frame's L subsets differ in one position
-    only. Field i of ``tails | acc * ones`` is the coverage of the i-th,
-    and adding ``ones`` (a 1 in each field) carries into the guard bit of
-    field i exactly when that coverage is all ones; the guard was 0, so
-    no carry reaches field i + 1. The guard bits, shifted down by m, are
-    the hits. Leaves pop in lexicographic order of their prefixes and
-    each holds the next L subsets, so the i-th has rank ``rank + i + 1``;
-    reading the hits lowest first keeps combinations order.
+    A frame with two positions left walks its children itself and pushes
+    none. Child p, with L positions after it, holds the next L subsets,
+    which differ in their last position only. Field i of the child's
+    ``tails | acc * ones[L]`` is the coverage of the i-th, and adding
+    ``ones[L]`` carries into the guard bit of field i exactly when that
+    coverage is all ones; the guard was 0, so no carry reaches field
+    i + 1. The guard bits, shifted down by m, are the hits; the i-th has
+    rank ``rank + i + 1``, and reading the hits lowest first keeps
+    combinations order.
     """
-    if size == 0:
-        if acc0 == full:
-            yield 1, ()
+    full, w, ones, rows, tails = packed
+    m = w - 1
+    n = len(rows)
+    if size <= 1:
+        # The empty set, or the one-position subsets of the root.
+        if size == 0:
+            if acc0 == full:
+                yield 1, ()
+            return
+        o = ones[n]
+        hits = ((tails | acc0 * o) + o) >> m & o
+        while hits:
+            low = hits & -hits
+            i = (low.bit_length() - 1) // w
+            yield i + 1, (i,)
+            hits ^= low
         return
-    n = len(pair)
-    m = full.bit_length()
-    w = m + 1
-    ones = [sum(1 << w * i for i in range(L)) for L in range(n + 1)]
-    rows = [sum(pair[p][q] << w * (q - p - 1) for q in range(p + 1, n))
-            for p in range(n)]
-    tails = sum(seed << w * q for q, seed in enumerate(seeds))
     rank = 0
-    stack = [(acc0, tails, 0, ())]
+    path = [0] * (size + 1)
+    stack = [(acc0, tails, -1, 0)]
     while stack:
-        acc, tails, start, prefix = stack.pop()
-        left = size - len(prefix)
-        L = n - start
-        if left == 1:
-            hits = ((tails | acc * ones[L]) + ones[L]) >> m & ones[L]
-            while hits:
-                low = hits & -hits
-                i = (low.bit_length() - 1) // w
-                yield rank + i + 1, prefix + (start + i,)
-                hits ^= low
-            rank += L
+        acc, tails, last, depth = stack.pop()
+        path[depth] = last
+        start = last + 1
+        left = size - depth
+        if left == 2:
+            for p in range(start, n - 1):
+                a = acc | tails & full
+                tails >>= w
+                L = n - 1 - p
+                o = ones[L]
+                hits = ((tails | rows[p] | a * o) + o) >> m & o
+                while hits:
+                    low = hits & -hits
+                    i = (low.bit_length() - 1) // w
+                    yield rank + i + 1, (*path[1:depth + 1], p, p + 1 + i)
+                    hits ^= low
+                rank += L
             continue
         # Children pushed last-first, so they pop in ascending order.
-        for i in range(L - left, -1, -1):
+        for i in range(n - start - left, -1, -1):
             p = start + i
             stack.append((acc | tails >> w * i & full,
-                          tails >> w * (i + 1) | rows[p], p + 1,
-                          prefix + (p,)))
+                          tails >> w * (i + 1) | rows[p], p, depth + 1))
 
 
 def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
@@ -148,20 +186,20 @@ def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
             for b in base:
                 seed |= rows[v][b]
             seeds.append(seed)
-        pair = [[rows[v][w] for w in pool] for v in pool]
+        packed = _pack([[rows[v][w] for w in pool] for v in pool], seeds,
+                       full)
         for extra in range(len(pool) + 1):
             if len(base) + extra >= 2:
-                hit = next(_covering_subsets(pair, seeds, acc0, extra, full),
-                           None)
+                hit = next(_covering_subsets(packed, acc0, extra), None)
                 if hit is not None:
                     rank, picked = hit
                     S = tuple(sorted(base + tuple(pool[p] for p in picked)))
                     return OracleResult(len(S), S, explored + rank, True)
             explored += math.comb(len(pool), extra)
         raise AssertionError("no MEG set found inside sandwich bounds")
-    seeds = [0] * G.n
+    packed = _pack(rows, [0] * G.n, full)
     for size in range(2, G.n + 1):
-        hit = next(_covering_subsets(rows, seeds, 0, size, full), None)
+        hit = next(_covering_subsets(packed, 0, size), None)
         if hit is not None:
             rank, combo = hit
             return OracleResult(size, combo, explored + rank, False)
@@ -192,10 +230,9 @@ def all_min_meg_sets(G: Graph, limit: int | None = None) -> list[tuple[int, ...]
     require_meg_input(G)
     _check_size(G, limit)
     full, rows = _pair_cover_masks(G)
-    seeds = [0] * G.n
+    packed = _pack(rows, [0] * G.n, full)
     for size in range(2, G.n + 1):
-        hits = [combo for _, combo
-                in _covering_subsets(rows, seeds, 0, size, full)]
+        hits = [combo for _, combo in _covering_subsets(packed, 0, size)]
         if hits:
             return hits
     raise AssertionError("V itself must be an MEG set")

@@ -363,6 +363,26 @@ def _spider_masks(masks: tuple[int, ...], X: int) -> tuple[int, int, int] | None
     missing only its own leg. Either candidate is kept only if it passes
     every spider axiom: S stable, C a clique, R complete to C and
     anticomplete to S.
+
+    The rules are exact: whenever G[X] is a spider with l legs, they
+    return one. Let n = |X| = 2l + |R|.
+
+    - Thin, l >= 2. Legs have degree 1. A body vertex sees the other
+      l - 1 body vertices, its leg and all of R: degree l + |R| >= 2. A
+      head vertex sees all of C: degree at least l >= 2. So the degree-1
+      vertices are exactly S, their neighbours are exactly C, and this
+      first candidate is the spider itself.
+    - Thick, l >= 3. Legs see the body minus their own vertex: degree
+      l - 1. A body vertex misses only its own leg: degree n - 2. A head
+      vertex sees C and at most |R| - 1 others: degree at most
+      l + |R| - 1 = n - l - 1 < n - 2, and l - 1 < n - 2 as well. So the
+      vertices of degree n - 2 are exactly C, the vertices they miss are
+      exactly S, and no vertex has degree 1: the body candidate is the
+      only one, and it is the spider itself.
+
+    A two-legged spider is thin. Every spider thus passes the axioms as
+    one of the candidates, and ``detect_spider``'s exhaustive loop can
+    never find a partition that these rules missed.
     """
     size = X.bit_count()
     if size < 4:
@@ -410,7 +430,15 @@ def detect_spider(G: Graph) -> SpiderPartition | None:
 
     ``spider_by_degrees`` gives the candidate. Graphs on at most
     ``SPIDER_FALLBACK_LIMIT`` vertices that the rules reject additionally
-    get an exhaustive search over all partitions.
+    get an exhaustive search over all partitions. That search never finds
+    one: every partition ``verify_spider_partition`` accepts is a thin
+    spider with l >= 2 legs or a thick one with l >= 3, and the proof in
+    ``_spider_masks`` shows the degree rules return such a spider, which
+    ``verify_spider_partition`` then accepts. In a thin spider the
+    degree-1 vertices are exactly the legs (body vertices have degree
+    l + |R| >= 2, head vertices at least l); in a thick one the vertices
+    of degree n - 2 are exactly the body (legs have degree l - 1, head
+    vertices at most l + |R| - 1 < n - 2).
     """
     n = G.n
     part = spider_by_degrees(G)

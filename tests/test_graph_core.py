@@ -382,6 +382,34 @@ READER_CASES = [
     "x vertices:\n", "x #y\n", "vertices:x y\nx y\n",
 ]
 
+# Runs of comment lines, which the reader takes as one match each: a long
+# run between edge lines, comments right after the header, and a malformed
+# line or a duplicate header after a run, with its line number.
+_COMMENT_RUN = "#c\n  # d e\n\t#\n" * 400
+COMMENT_RUN_ERRORS = [
+    ("#x\n  # y\n#\na b c\n", 4, "expected two labels"),
+    ("a b\n" + _COMMENT_RUN + "q\n#z\n", 1202, "expected two labels"),
+    ("vertices: a\n#1\n #2\nvertices: b\n", 4, "duplicate vertices header"),
+    ("vertices: a\n" + _COMMENT_RUN + "vertices: b\n#z\n", 1202,
+     "duplicate vertices header"),
+    ("#a\r\n#b\r\n\r\n#c\u2028x y z\n", 5, "expected two labels"),
+]
+READER_CASES += [
+    "a b\n" + _COMMENT_RUN + "b c\n", "a b\n" + _COMMENT_RUN + "b c",
+    "a b\n" + _COMMENT_RUN, _COMMENT_RUN + "a b\n",
+    "vertices: a b c\n# one\n  # two\n#\na b\n",
+    "vertices: a b c\n#1\n\n#2\nvertices: d\n", "#a b\n#c\n\n#d\n",
+    "a b\n#1\n#2\nb b\n#3\n", "a b\n#1\n#x y\nc d\n#2\n#3",
+] + [text for text, _, _ in COMMENT_RUN_ERRORS]
+
+
+@pytest.mark.parametrize("text, line_no, message", COMMENT_RUN_ERRORS)
+def test_line_numbers_after_comment_runs(text, line_no, message):
+    for read in (graph_from_edge_list, parse_edge_list):
+        with pytest.raises(EdgeListParseError, match=message) as err:
+            read(text)
+        assert err.value.line_no == line_no
+
 
 @pytest.mark.parametrize("text", READER_CASES)
 def test_reader_matches_two_stage_reference_on_cases(text):

@@ -7,8 +7,9 @@ from megsolve import (LimitExceededError, all_min_meg_sets,
                       gen_random_connected, is_mandatory, is_meg_set,
                       mandatory_bruteforce, mandatory_vertices,
                       min_meg_bruteforce)
+from megsolve import oracle
 from megsolve.graph_core import articulation_points
-from megsolve.oracle import _covering_subsets
+from megsolve.oracle import _covering_subsets, _pack
 
 from graphs_util import (all_connected_graphs, brute_all_min_meg,
                          brute_min_meg, complete_graph,
@@ -231,11 +232,12 @@ def test_covering_subsets_matches_combinations():
                 for _ in range(3):
                     pair, seeds, acc0 = _random_cover_instance(
                         rng, N, width, seeded)
+                    # One packing serves every size, as in a search.
+                    packed = _pack(pair, seeds, full)
                     for size in range(N + 1):
                         want = _combinations_covering(pair, seeds, acc0,
                                                       size, full)
-                        got = list(_covering_subsets(pair, seeds, acc0,
-                                                     size, full))
+                        got = list(_covering_subsets(packed, acc0, size))
                         assert got == want, (width, N, size, seeded)
                         hits += len(got)
                         same_leaf += sum(a[1][:-1] == b[1][:-1]
@@ -244,6 +246,27 @@ def test_covering_subsets_matches_combinations():
                             seeded_hits += len(got)
         # Many hits share a leaf frame, so their order within it is tested.
         assert hits > 1000 and same_leaf > 500 and seeded_hits > 100, width
+
+
+def test_one_packing_per_search(monkeypatch):
+    # Each search packs once, however many sizes it walks: raw search and
+    # all_min_meg_sets on K7 walk sizes 2 to 7, trusted search on C7 (no
+    # mandatory vertex) tests pool sizes 2 and 3.
+    packs, sizes = [], []
+    pack, walk = oracle._pack, oracle._covering_subsets
+    monkeypatch.setattr(oracle, "_pack",
+                        lambda *a: packs.append(a) or pack(*a))
+    monkeypatch.setattr(oracle, "_covering_subsets",
+                        lambda *a: sizes.append(a[-1]) or walk(*a))
+    for search, G, walked in (
+            (lambda G: min_meg_bruteforce(G, trust_bounds=False),
+             complete_graph(7), [2, 3, 4, 5, 6, 7]),
+            (min_meg_bruteforce, cycle_graph(7), [2, 3]),
+            (all_min_meg_sets, complete_graph(7), [2, 3, 4, 5, 6, 7])):
+        packs.clear()
+        sizes.clear()
+        search(G)
+        assert len(packs) == 1 and sizes == walked
 
 
 # (meg, witness, explored) in trusted and raw mode, recorded from the

@@ -380,21 +380,35 @@ def test_spider_degree_rules_match_exhaustive_search():
 
 
 def test_spider_degree_rules_on_fixtures():
+    # Heads with no internal edge, a clique head and random ones: the degree
+    # facts that the proof in ``_spider_masks`` rests on hold on each, and
+    # the rules alone find the spider.
     rng = random.Random(31)
     for legs in range(2, 9):
-        for head in range(5):
+        for head in range(7):
             pairs = list(itertools.combinations(range(head), 2))
             for kind in ("thin", "thick"):
-                head_edges = tuple(p for p in pairs if rng.random() < 0.5)
-                G = spider_graph(legs, kind, head=head, head_edges=head_edges)
-                ids = lambda prefix, k: [G.id_of(f"{prefix}{i + 1}")  # noqa: E731
-                                         for i in range(k)]
-                S, C = ids("s", legs), ids("c", legs)
-                assert _spider_found(G) == (_mask(S), _mask(C),
-                                            _mask(ids("r", head)))
-                part = detect_spider(G)
-                assert part.kind == ("thin" if legs == 2 else kind)
-                assert set(part.s_vertices) == set(S)
+                for head_edges in ((), tuple(pairs), *(
+                        tuple(p for p in pairs if rng.random() < 0.5)
+                        for _ in range(2))):
+                    G = spider_graph(legs, kind, head=head,
+                                     head_edges=head_edges)
+                    ids = lambda prefix, k: [  # noqa: E731
+                        G.id_of(f"{prefix}{i + 1}") for i in range(k)]
+                    S, C = ids("s", legs), ids("c", legs)
+                    degree = [len(G.adj[v]) for v in range(G.n)]
+                    if kind == "thin" or legs == 2:
+                        assert [v for v in range(G.n)
+                                if degree[v] == 1] == sorted(S)
+                    else:
+                        assert [v for v in range(G.n)
+                                if degree[v] == G.n - 2] == sorted(C)
+                    assert _spider_found(G) == (_mask(S), _mask(C),
+                                                _mask(ids("r", head)))
+                    part = detect_spider(G)
+                    assert part == recognizers.spider_by_degrees(G)
+                    assert part.kind == ("thin" if legs == 2 else kind)
+                    assert set(part.s_vertices) == set(S)
 
 
 def test_detect_spider_small_with_head():
