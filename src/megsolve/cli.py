@@ -26,10 +26,8 @@ from .graph_core import Graph, articulation_points, format_edge_list, \
     is_connected, read_graph_file
 from .monitoring import bounds, is_meg_set, mandatory_vertices
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
-from .recognizers import (detect_spider, recognize_bipartite_permutation,
-                          recognize_distance_hereditary, recognize_p4_sparse,
-                          recognize_strongly_chordal)
-from .solvers import METHODS, solve
+from .recognizers import detect_spider
+from .solvers import METHODS, ROUTES, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -101,22 +99,13 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     G = read_graph_file(args.path)
     _require_connected(G)
-    dh = recognize_distance_hereditary(G)
-    bp = recognize_bipartite_permutation(G)
-    seo = recognize_strongly_chordal(G)
-    result: dict = {
-        "distanceHereditary": "yes" if dh else "no",
-        "bipartitePermutation": bp.verdict,
-        "stronglyChordal": "yes" if seo else "no",
-        "p4Sparse": "yes" if recognize_p4_sparse(G) else "no",
-    }
+    answers = [(key, recognize(G), write)
+               for _, _, _, key, recognize, write in ROUTES]
+    result: dict = {key: "yes" if answer else "no"
+                    for key, answer, _ in answers}
     if args.certificate:
-        certs: dict = {
-            "distanceHereditary": dh.to_json(G) if dh else None,
-            "bipartitePermutation":
-                bp.ordering.to_json(G) if bp.ordering else None,
-            "stronglyChordal": seo.to_json(G) if seo else None,
-        }
+        certs: dict = {key: write(answer, G) if answer else None
+                       for key, answer, write in answers if write is not None}
         spider = detect_spider(G)
         if spider is not None:
             certs["spider"] = spider.to_json(G)
@@ -230,7 +219,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         full = os.path.join(args.corpus, name)
         try:
             G = read_graph_file(full)
+            started = time.perf_counter()
             res = solve(G, oracle_limit=limit)
+            elapsed = time.perf_counter() - started
         except (EdgeListParseError, SelfLoopError, OSError,
                 NotConnectedError, LimitExceededError) as exc:
             writer.writerow([name, "", "", "error", "", "", str(exc)])
@@ -241,7 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             agreed = "yes" if oracle_meg == res.meg else "no"
         writer.writerow([res.class_used, G.n, G.m, res.method,
                          "" if res.meg is None else res.meg,
-                         round(res.elapsed * 1000, 3), agreed])
+                         round(elapsed * 1000, 3), agreed])
     text = buf.getvalue()
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -57,9 +57,10 @@ def _labels(n: int, stem: str = "v") -> list[str]:
     return [f"{stem}{i}" for i in range(n)]
 
 
-def gen_distance_hereditary(n: int, seed: int,
-                            weights: tuple[float, float, float] = (0.4, 0.3, 0.3)
-                            ) -> Graph:
+DH_WEIGHTS = (0.4, 0.3, 0.3)  # pendant, true twin, false twin
+
+
+def gen_distance_hereditary(n: int, seed: int) -> Graph:
     """Random pendant / true-twin / false-twin extension sequence.
 
     A false twin of an isolated anchor would disconnect the graph, so that
@@ -72,7 +73,7 @@ def gen_distance_hereditary(n: int, seed: int,
     kinds = ("pendant", "true_twin", "false_twin")
     for new in range(1, n):
         anchor = rng.randrange(new)
-        kind = rng.choices(kinds, weights=weights)[0]
+        kind = rng.choices(kinds, weights=DH_WEIGHTS)[0]
         if kind == "false_twin" and not neighbor_sets[anchor]:
             kind = "pendant"
         if kind == "pendant":
@@ -147,8 +148,7 @@ def gen_p4_sparse(n: int, seed: int) -> Graph:
 
 
 def gen_bipartite_permutation_with_ordering(
-        p: int, q: int, seed: int,
-        window: int | None = None) -> tuple[Graph, StrongOrdering]:
+        p: int, q: int, seed: int) -> tuple[Graph, StrongOrdering]:
     """Random bipartite permutation graph plus its construction ordering.
 
     Each left vertex gets a column interval; interval starts and ends are
@@ -158,8 +158,7 @@ def gen_bipartite_permutation_with_ordering(
     """
     if p < 1 or q < 1:
         raise ValueError("both sides need at least one vertex")
-    if window is None:
-        window = max(1, 2 * q // p + 1)
+    window = max(1, 2 * q // p + 1)
     rng = random.Random(seed)
     fs: list[int] = []
     ls: list[int] = []
@@ -185,9 +184,8 @@ def gen_bipartite_permutation_with_ordering(
     return G, so
 
 
-def gen_bipartite_permutation(p: int, q: int, seed: int,
-                              window: int | None = None) -> Graph:
-    return gen_bipartite_permutation_with_ordering(p, q, seed, window)[0]
+def gen_bipartite_permutation(p: int, q: int, seed: int) -> Graph:
+    return gen_bipartite_permutation_with_ordering(p, q, seed)[0]
 
 
 def gen_strongly_chordal(n: int, seed: int, style: str = "interval",

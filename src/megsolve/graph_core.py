@@ -20,8 +20,6 @@ from .errors import EdgeListParseError, SelfLoopError
 
 INF = math.inf
 
-VertexSet = tuple[int, ...]  # sorted, deduplicated ids
-
 
 def vertex_set(ids: Iterable[int]) -> tuple[int, ...]:
     """Normalize an id collection into a sorted deduplicated tuple."""

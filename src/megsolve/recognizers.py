@@ -22,8 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
-from .graph_core import (Graph, bfs_distances, is_connected, iter_bits,
-                         mask_components)
+from .graph_core import Graph, is_connected, iter_bits, mask_components
 
 SPIDER_FALLBACK_LIMIT = 12
 
@@ -247,7 +246,14 @@ def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
 
 
 def recognize_p4_sparse(G: Graph) -> bool:
-    """True iff every five vertices induce at most one P4.
+    """True iff every five vertices induce at most one P4 (``_p4_stuck``
+    finds no stuck set)."""
+    return not _p4_stuck(G)
+
+
+def _p4_stuck(G: Graph) -> int:
+    """The first vertex set of the Jamison-Olariu walk that is neither
+    split nor a spider, as a mask; 0 when G is P4-sparse.
 
     Walks the structure theorem of Jamison and Olariu (1992): a graph is
     P4-sparse iff it has at most one vertex, or it is a disjoint union of
@@ -255,6 +261,20 @@ def recognize_p4_sparse(G: Graph) -> bool:
     head is P4-sparse. Vertex sets wait on a stack as bitmasks; a set
     whose graph and complement are both connected must be a spider, found
     by ``_spider_masks``, and only its head is pushed.
+
+    ``solve_p4_structural`` refuses a connected G iff this set is all of
+    V, which is the gate "the complement of G is connected and
+    ``spider_by_degrees`` is None". The walk pops V first, so it is stuck
+    there iff both are connected and ``_spider_masks`` finds no spider on
+    V. And ``verify_spider_partition`` accepts every partition that
+    ``_spider_masks`` returns on V, which has S stable and anticomplete
+    to R, C a clique complete to R, and |S| = |C|:
+
+    - thin: the legs are at least two vertices of degree 1, each seeing
+      one stem in C, and |S| = |C| makes the stems distinct;
+    - thick: the l = |C| >= 3 body vertices each miss exactly one other
+      vertex, a leg. These l non-edges reach all l legs, so each leg is
+      missed once: it has degree l - 1 and misses its own body vertex.
     """
     masks = G.adj_masks
     co_masks = tuple(~m for m in masks)
@@ -271,9 +291,9 @@ def recognize_p4_sparse(G: Graph) -> bool:
             continue
         spider = _spider_masks(masks, X)
         if spider is None:
-            return False
+            return X
         stack.append(spider[2])
-    return True
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +513,6 @@ def strong_ordering_from_orders(G: Graph, x_order, y_order) -> StrongOrdering:
     return StrongOrdering(x_order, y_order)
 
 
-def _is_bipartite(G: Graph) -> bool:
-    color = [-1] * G.n
-    for s in range(G.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in G.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 def verify_strong_ordering(G: Graph, so: StrongOrdering) -> bool:
     """Full certificate check, linear in the size of G.
 
@@ -596,9 +598,10 @@ def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
     candidate.
 
     The verdict is "yes" with a strong ordering, or "no" when G is not
-    bipartite or the candidate is not strong. One BFS from vertex 0 finds
-    its last layer; ``_layered_candidate`` runs from the vertex of that
-    layer with the smallest (degree, id), and the linear-time
+    bipartite or the candidate is not strong. One BFS from vertex 0 stops
+    at an edge inside a layer ("no") or finds the last layer;
+    ``_layered_candidate`` runs from its vertex with the smallest
+    (degree, id), and the linear-time
     ``verify_strong_ordering`` checks it, so "yes" is always certified.
 
     "no" is exact: G is a bipartite permutation graph iff it has a strong
@@ -670,14 +673,20 @@ def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
     """
     if G.n == 0 or not is_connected(G):
         raise NotConnectedError("strong-ordering search needs a connected graph")
-    if not _is_bipartite(G):
-        return BipPermResult("no", None)
     if G.n == 1:
         return BipPermResult("yes", StrongOrdering((0,), ()))
-    dist = bfs_distances(G, 0)
-    far = max(dist)
-    start = min((v for v in range(G.n) if dist[v] == far),
-                key=lambda v: (len(G.adj[v]), v))
+    dist = [0] + [-1] * (G.n - 1)
+    nxt = [0]
+    while nxt:
+        layer, nxt = nxt, []
+        for v in layer:
+            for w in G.adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+                elif dist[w] == dist[v]:
+                    return BipPermResult("no", None)
+    start = min(layer, key=lambda v: (len(G.adj[v]), v))
     so = StrongOrdering(*_layered_candidate(G, start))
     if verify_strong_ordering(G, so):
         return BipPermResult("yes", so)

@@ -3,8 +3,8 @@
 One closed form serves every exact route: on distance-hereditary,
 bipartite permutation, strongly chordal and P4-sparse graphs, and on the
 join and spider shapes, the minimum MEG set is the set M of mandatory
-vertices. ``ROUTES`` pairs each class with its recognizer for auto mode
-and the forced ``cut`` and ``mandatory`` methods. The method labels
+vertices. ``ROUTES`` serves auto mode, the forced ``cut`` and
+``mandatory`` methods and the ``recognize`` command. The method labels
 ``cut_based``, ``mandatory_based`` and ``p4_structural`` are kept for
 report compatibility. A decomposition solver merges solutions of the
 blocks (biconnected components) without claiming minimality.
@@ -12,35 +12,39 @@ blocks (biconnected components) without claiming minimality.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import MethodMismatchError, NotP4SparseError
-from .graph_core import (Graph, articulation_points, blocks, co_components,
-                         induced_subgraph, vertex_set)
+from .graph_core import (Graph, articulation_points, blocks, induced_subgraph,
+                         vertex_set)
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
-from .recognizers import (StrongOrdering, _neighbor_ends,
-                          recognize_bipartite_permutation,
+from .recognizers import (SEO, PruneSequence, StrongOrdering, _neighbor_ends,
+                          _p4_stuck, recognize_bipartite_permutation,
                           recognize_distance_hereditary, recognize_p4_sparse,
-                          recognize_strongly_chordal, spider_by_degrees)
+                          recognize_strongly_chordal)
 
 METHODS = ("auto", "cut", "mandatory", "structural", "oracle", "decomposition")
 
-# (class, display name, method label, verdict), in the order auto mode
-# tries them. A verdict is "yes" or "no". Recognizers, like
-# ``mandatory_vertices`` in ``_walk_routes``, are looked up by module-global
-# name on each call, so a tracer that rebinds those names sees every call.
+# (class, display name, method label, recognize report key, recognizer,
+# certificate writer or None), in the order auto mode and ``recognize``
+# try them. A recognizer returns its answer, falsy for "no". Recognizers,
+# like ``mandatory_vertices`` in ``_walk_routes``, are looked up by
+# module-global name on each call, so a tracer that rebinds those names
+# sees every call.
 ROUTES = (
     ("distance_hereditary", "distance-hereditary", "cut_based",
-     lambda G: "no" if recognize_distance_hereditary(G) is None else "yes"),
+     "distanceHereditary", lambda G: recognize_distance_hereditary(G),
+     PruneSequence.to_json),
     ("bipartite_permutation", "bipartite permutation", "cut_based",
-     lambda G: recognize_bipartite_permutation(G).verdict),
+     "bipartitePermutation",
+     lambda G: recognize_bipartite_permutation(G).ordering,
+     StrongOrdering.to_json),
     ("strongly_chordal", "strongly chordal", "mandatory_based",
-     lambda G: "no" if recognize_strongly_chordal(G) is None else "yes"),
-    ("p4_sparse", "P4-sparse", "mandatory_based",
-     lambda G: "yes" if recognize_p4_sparse(G) else "no"),
+     "stronglyChordal", lambda G: recognize_strongly_chordal(G), SEO.to_json),
+    ("p4_sparse", "P4-sparse", "mandatory_based", "p4Sparse",
+     lambda G: recognize_p4_sparse(G), None),
 )
 
 
@@ -52,55 +56,50 @@ class MegResult:
     method: str
     meg: int | None
     witness: tuple[int, ...] | None
-    elapsed: float
     minimality_guaranteed: bool
     bounds: Bounds | None = None
 
 
-def _walk_routes(G: Graph, form: str | None, t0: float) -> MegResult | None:
-    """Solve G by the first route whose verdict is "yes", trying every
-    route (``form`` None) or only those labelled ``form``. Every route
-    answers with the mandatory vertices.
+def _walk_routes(G: Graph, form: str | None) -> MegResult | None:
+    """Solve G by the first route that recognizes it, trying every route
+    (``form`` None) or only those labelled ``form``. Every route answers
+    with the mandatory vertices.
 
-    With no "yes", auto mode gets None and a forced closed form raises
-    ``MethodMismatchError`` listing each verdict it saw.
+    When none recognizes G, auto mode gets None and a forced closed form
+    raises ``MethodMismatchError`` naming each class it tried.
     """
-    seen = []
-    for cls, name, label, verdict in ROUTES:
+    tried = []
+    for cls, name, label, _, recognize, _ in ROUTES:
         if form is not None and label != form:
             continue
-        answer = verdict(G)
-        if answer == "yes":
+        if recognize(G):
             witness = mandatory_vertices(G)
-            return MegResult(cls, label, len(witness), witness,
-                             time.perf_counter() - t0, True)
-        seen.append((name, answer))
+            return MegResult(cls, label, len(witness), witness, True)
+        tried.append(name)
     if form is None:
         return None
     raise MethodMismatchError(
-        f"{form.replace('_', '-')} solving needs a "
-        f"{' or '.join(name for name, _ in seen)} graph "
-        f"({', '.join(f'{name}: {answer}' for name, answer in seen)})")
+        f"{form.replace('_', '-')} solving needs a {' or '.join(tried)} graph "
+        f"({', '.join(f'{name}: no' for name in tried)})")
 
 
 def solve_p4_structural(G: Graph) -> MegResult:
     """Minimum MEG set of a join, or of a spider found by the degree rules
-    (``spider_by_degrees``): the mandatory vertices.
+    (``_spider_masks``): the mandatory vertices.
 
-    Other graphs are refused. The join and spider cases hold for any core
-    or head, so shapes that are not P4-sparse are solved too (class_used
-    "p4_shape").
+    One ``_p4_stuck`` walk decides both: other graphs are refused, and
+    the join and spider cases hold for any core or head, so shapes that
+    are not P4-sparse are solved too (class_used "p4_shape").
     """
     require_meg_input(G)
-    t0 = time.perf_counter()
-    if len(co_components(G)) < 2 and spider_by_degrees(G) is None:
+    stuck = _p4_stuck(G)
+    if stuck == (1 << G.n) - 1:
         raise NotP4SparseError(
             "connected complement but no spider partition; "
             "graph is not P4-sparse")
-    cls = "p4_sparse" if recognize_p4_sparse(G) else "p4_shape"
     witness = mandatory_vertices(G)
-    return MegResult(cls, "p4_structural", len(witness), witness,
-                     time.perf_counter() - t0, True)
+    return MegResult("p4_shape" if stuck else "p4_sparse", "p4_structural",
+                     len(witness), witness, True)
 
 
 def cut_vertices_via_strong_ordering(G: Graph, so: StrongOrdering) -> tuple[int, ...]:
@@ -178,22 +177,18 @@ def solve(G: Graph, method: str = "auto",
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     limit = DEFAULT_VERTEX_LIMIT if oracle_limit is None else oracle_limit
-    t0 = time.perf_counter()
     if method == "structural":
         return solve_p4_structural(G)
     if method == "decomposition":
         witness = solve_by_cut_decomposition(G, oracle_limit=limit)
         return MegResult("none", "decomposition", len(witness), witness,
-                         time.perf_counter() - t0, False)
+                         False)
     if method != "oracle":
-        res = _walk_routes(G, None if method == "auto" else f"{method}_based",
-                           t0)
+        res = _walk_routes(G, None if method == "auto" else f"{method}_based")
         if res is not None:
             return res
         if G.n > limit:
-            return MegResult("none", "none", None, None,
-                             time.perf_counter() - t0, False,
+            return MegResult("none", "none", None, None, False,
                              bounds=bounds(G))
     res = min_meg_bruteforce(G, trust_bounds=True, limit=limit)
-    return MegResult("none", "oracle", res.meg, res.witness,
-                     time.perf_counter() - t0, True)
+    return MegResult("none", "oracle", res.meg, res.witness, True)

@@ -6,19 +6,21 @@ import sys
 
 import pytest
 
-from megsolve import (EdgeListParseError, GenSpec, GenerationError,
+from megsolve import (CLASSES, EdgeListParseError, GenSpec, GenerationError,
                       LimitExceededError, MethodMismatchError,
                       NotConnectedError, SelfLoopError, articulation_points,
-                      cut_vertices_via_strong_ordering, format_edge_list,
-                      gen_bipartite_permutation, generate,
+                      cut_vertices_via_strong_ordering, detect_spider,
+                      format_edge_list, gen_bipartite_permutation, generate,
                       graph_from_edge_list, mandatory_vertices, read_graph_file,
-                      recognize_bipartite_permutation, solve_p4_structural,
+                      recognize_bipartite_permutation,
+                      recognize_distance_hereditary, recognize_p4_sparse,
+                      recognize_strongly_chordal, solve_p4_structural,
                       spider_graph, strong_ordering_from_orders,
                       verify_strong_ordering)
 from megsolve import cli, recognizers, solvers
 from megsolve.cli import main
 
-from graphs_util import shuffled_ids
+from graphs_util import connected_graph_classes, shuffled_ids
 
 
 def write(tmp_path, name, text):
@@ -117,6 +119,57 @@ def test_recognize_certificates(tmp_path, capsys):
     certs = json.loads(out)["result"]["certificates"]
     assert certs["spider"]["kind"] == "thin"
     assert certs["spider"]["s"] == ["s1", "s2", "s3"]
+
+
+def _expected_recognize(G, certificate: bool) -> dict:
+    """The recognize result built from the four recognizers and
+    ``detect_spider`` one by one."""
+    dh = recognize_distance_hereditary(G)
+    bp = recognize_bipartite_permutation(G)
+    seo = recognize_strongly_chordal(G)
+    result = {
+        "distanceHereditary": "yes" if dh else "no",
+        "bipartitePermutation": bp.verdict,
+        "stronglyChordal": "yes" if seo else "no",
+        "p4Sparse": "yes" if recognize_p4_sparse(G) else "no",
+    }
+    if certificate:
+        certs = {
+            "distanceHereditary": dh.to_json(G) if dh else None,
+            "bipartitePermutation":
+                bp.ordering.to_json(G) if bp.ordering else None,
+            "stronglyChordal": seo.to_json(G) if seo else None,
+        }
+        spider = detect_spider(G)
+        if spider is not None:
+            certs["spider"] = spider.to_json(G)
+        result["certificates"] = certs
+    return result
+
+
+def test_recognize_report_matches_the_recognizers(tmp_path, capsys):
+    """The report from the route table is what the recognizers say, with
+    and without certificates, on every connected graph up to six vertices
+    and on generated graphs at n = 60 and 200."""
+    graphs = [G for n in range(1, 7) for G in connected_graph_classes(n)]
+    for n in (60, 200):
+        for cls in CLASSES:
+            if cls == "bipartite_permutation":
+                spec = GenSpec(cls, 1, p=n // 2, q=n - n // 2)
+            else:
+                spec = GenSpec(cls, 1, n=n, m=2 * n if cls == "random" else None)
+            graphs.append(generate(spec))
+    path = str(tmp_path / "g.edges")
+    for G in graphs:
+        with open(path, "w") as f:
+            f.write(format_edge_list(G))
+        for flags in ((), ("--certificate",)):
+            code, out, err = run(capsys, "recognize", path, *flags)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["result"] == _expected_recognize(G, bool(flags)), \
+                (sorted(G.edges()), flags)
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_recognize_bp_certificate_round_trip(tmp_path, capsys):

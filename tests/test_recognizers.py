@@ -24,7 +24,9 @@ from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
                       verify_seo, verify_spider_partition,
                       verify_strong_ordering)
 from megsolve import recognizers
-from megsolve.recognizers import _Pruning, _simple_chain, _spider_masks
+from megsolve.graph_core import mask_components
+from megsolve.recognizers import (_Pruning, _p4_stuck, _simple_chain,
+                                  _spider_masks)
 
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
                          brute_bipartite_permutation,
@@ -267,6 +269,53 @@ def test_p4_sparse_rejects_p5_inside_spider_or_join():
         assert detect_spider(G) is not None
         assert not recognize_p4_sparse(G)
     assert not recognize_p4_sparse(with_universal(path_graph(5)))
+
+
+def _check_p4_stuck(G: Graph) -> int:
+    """``_p4_stuck`` is 0 iff G is P4-sparse, all of V iff the structural
+    gate of co-components and degree-rule spiders refuses G, and otherwise
+    a set whose graph and complement are connected and hold no spider."""
+    stuck = _p4_stuck(G)
+    masks = G.adj_masks
+    assert (stuck == 0) == brute_p4_sparse(G), sorted(G.edges())
+    refused = len(co_components(G)) < 2 and recognizers.spider_by_degrees(G) is None
+    assert (stuck == (1 << G.n) - 1) == refused, sorted(G.edges())
+    if stuck:
+        assert len(mask_components(masks, stuck)) == 1
+        assert len(mask_components(tuple(~m for m in masks), stuck)) == 1
+        assert _spider_masks(masks, stuck) is None
+    return stuck
+
+
+def test_p4_stuck_matches_definition_and_gate_exhaustively():
+    kinds = Counter()
+    for n in range(2, 8):
+        for G in connected_graph_classes(n):
+            stuck = _check_p4_stuck(G)
+            kinds["none" if not stuck else
+                  "all" if stuck == (1 << G.n) - 1 else "part"] += 1
+    assert kinds == {"none": 176, "part": 92, "all": 727}
+
+
+def test_p4_stuck_on_spiders_and_generated_graphs():
+    for legs in range(2, 6):
+        for head in range(4):
+            for kind in ("thin", "thick"):
+                assert _check_p4_stuck(spider_graph(legs, kind, head=head)) == 0
+    p4 = tuple((i, i + 1) for i in range(3))
+    for kind in ("thin", "thick"):
+        G = spider_graph(3, kind, head=4, head_edges=p4)
+        assert _check_p4_stuck(G) == 0
+    rng = random.Random(29)
+    parts = 0
+    for seed in range(40):
+        G = gen_p4_sparse(rng.randrange(5, 12), seed)
+        assert _check_p4_stuck(G) == 0
+        H = _flip_edge(G, *rng.sample(range(G.n), 2))
+        if is_connected(H):
+            stuck = _check_p4_stuck(H)
+            parts += 0 < stuck < (1 << H.n) - 1
+    assert parts >= 5
 
 
 # ---------------------------------------------------------------------------
