@@ -21,10 +21,10 @@ import time
 
 from .errors import (EdgeListParseError, GenerationError, LimitExceededError,
                      MethodMismatchError, NotConnectedError, SelfLoopError)
-from .generators import GenSpec, generate
+from .generators import GENERATORS, GenSpec, generate
 from .graph_core import Graph, articulation_points, format_edge_list, \
     is_connected, read_graph_file
-from .monitoring import bounds, is_meg_set, mandatory_vertices
+from .monitoring import is_meg_set, mandatory_vertices
 from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
 from .recognizers import detect_spider
 from .solvers import METHODS, ROUTES, solve
@@ -49,15 +49,6 @@ GEN_ALIASES = {
     "random": "random",
 }
 
-# The size flags each generator class reads; `gen` rejects the others.
-GEN_FLAGS = {
-    "distance_hereditary": ("n",),
-    "p4_sparse": ("n",),
-    "strongly_chordal": ("n",),
-    "bipartite_permutation": ("p", "q"),
-    "random": ("n", "m"),
-}
-
 
 def _oracle_limit() -> int:
     raw = os.environ.get(ORACLE_LIMIT_ENV)
@@ -80,24 +71,26 @@ def _labels_sorted(G: Graph, ids) -> list[str]:
     return sorted(G.labels_of(ids))
 
 
-def _report(command: str, G: Graph, path: str, result: dict,
-            args: argparse.Namespace, started: float) -> int:
+def _report(args: argparse.Namespace) -> int:
+    """Read ``args.path``, run the command on the graph and print its report.
+
+    The clock starts before the read, so ``--timing`` covers both."""
+    started = time.perf_counter()
+    G = read_graph_file(args.path)
     report = {
         "schema": 1,
-        "command": command,
-        "input": _summary(G, path),
-        "result": result,
+        "command": args.command,
+        "input": _summary(G, args.path),
+        "result": args.result(G, args),
         "exit": EXIT_OK,
     }
-    if getattr(args, "timing", False):
+    if args.timing:
         report["elapsedMs"] = round((time.perf_counter() - started) * 1000, 3)
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
 
 
-def cmd_recognize(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    G = read_graph_file(args.path)
+def cmd_recognize(G: Graph, args: argparse.Namespace) -> dict:
     _require_connected(G)
     answers = [(key, recognize(G), write)
                for _, _, _, key, recognize, write in ROUTES]
@@ -110,12 +103,10 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         if spider is not None:
             certs["spider"] = spider.to_json(G)
         result["certificates"] = certs
-    return _report("recognize", G, args.path, result, args, started)
+    return result
 
 
-def cmd_meg(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    G = read_graph_file(args.path)
+def cmd_meg(G: Graph, args: argparse.Namespace) -> dict:
     res = solve(G, method=args.method, oracle_limit=_oracle_limit())
     result: dict = {
         "class": res.class_used,
@@ -131,12 +122,10 @@ def cmd_meg(args: argparse.Namespace) -> int:
             "mandatory": _labels_sorted(G, res.bounds.mandatory),
             "nonCut": _labels_sorted(G, res.bounds.non_cut),
         }
-    return _report("meg", G, args.path, result, args, started)
+    return result
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    G = read_graph_file(args.path)
+def cmd_verify(G: Graph, args: argparse.Namespace) -> dict:
     members = []
     for label in args.set.split(","):
         label = label.strip()
@@ -151,44 +140,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if check.uncovered is not None:
         u, v = check.uncovered
         uncovered = sorted([G.label(u), G.label(v)])
-    result = {"isMeg": check.ok, "uncovered": uncovered}
-    return _report("verify", G, args.path, result, args, started)
+    return {"isMeg": check.ok, "uncovered": uncovered}
 
 
-def cmd_mandatory(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    G = read_graph_file(args.path)
-    result = {"mandatory": _labels_sorted(G, mandatory_vertices(G))}
-    return _report("mandatory", G, args.path, result, args, started)
+def cmd_mandatory(G: Graph, args: argparse.Namespace) -> dict:
+    return {"mandatory": _labels_sorted(G, mandatory_vertices(G))}
 
 
-def cmd_cut(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    G = read_graph_file(args.path)
+def cmd_cut(G: Graph, args: argparse.Namespace) -> dict:
     _require_connected(G)
-    result = {"cutVertices": _labels_sorted(G, articulation_points(G))}
-    return _report("cut", G, args.path, result, args, started)
+    return {"cutVertices": _labels_sorted(G, articulation_points(G))}
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    G = read_graph_file(args.path)
+def cmd_oracle(G: Graph, args: argparse.Namespace) -> dict:
     res = min_meg_bruteforce(G, trust_bounds=args.trust_bounds,
                              limit=_oracle_limit())
-    result = {
+    return {
         "meg": res.meg,
         "witness": _labels_sorted(G, res.witness),
         "explored": res.explored,
         "trustedBounds": res.trusted_bounds,
     }
-    return _report("oracle", G, args.path, result, args, started)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     cls = GEN_ALIASES.get(args.cls, args.cls)
-    if cls not in GEN_FLAGS:
+    if cls not in GENERATORS:
         raise GenerationError(f"unknown generator class {args.cls!r}")
-    used = GEN_FLAGS[cls]
+    used = GENERATORS[cls][1]
     if any(getattr(args, name) is None for name in used):
         flags = " and ".join(f"--{name}" for name in used)
         verb = "is" if len(used) == 1 else "are"
@@ -256,47 +235,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monitoring edge-geodetic sets on restricted graph classes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, command) -> None:
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock time in the report")
+        p.set_defaults(func=_report, result=command)
 
     p = sub.add_parser("recognize", help="class membership verdicts")
     p.add_argument("path")
     p.add_argument("--certificate", action="store_true",
                    help="attach recognizer certificates")
-    add_common(p)
-    p.set_defaults(func=cmd_recognize)
+    add_common(p, cmd_recognize)
 
     p = sub.add_parser("meg", help="solve for the MEG number")
     p.add_argument("path")
     p.add_argument("--method", default="auto", choices=METHODS)
-    add_common(p)
-    p.set_defaults(func=cmd_meg)
+    add_common(p, cmd_meg)
 
     p = sub.add_parser("verify", help="check a vertex set for MEG coverage")
     p.add_argument("path")
     p.add_argument("--set", required=True,
                    help="comma-separated vertex labels")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    add_common(p, cmd_verify)
 
     p = sub.add_parser("mandatory", help="vertices in every MEG set")
     p.add_argument("path")
-    add_common(p)
-    p.set_defaults(func=cmd_mandatory)
+    add_common(p, cmd_mandatory)
 
     p = sub.add_parser("cut", help="articulation vertices")
     p.add_argument("path")
-    add_common(p)
-    p.set_defaults(func=cmd_cut)
+    add_common(p, cmd_cut)
 
     p = sub.add_parser("oracle", help="exhaustive minimum MEG search")
     p.add_argument("path")
     p.add_argument("--trust-bounds", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="restrict the search between the sandwich bounds")
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
+    add_common(p, cmd_oracle)
 
     p = sub.add_parser("gen", help="emit a generated instance as an edge list")
     p.add_argument("--class", dest="cls", required=True,

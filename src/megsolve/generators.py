@@ -26,10 +26,6 @@ from .graph_core import Graph
 from .recognizers import StrongOrdering, strong_ordering_from_orders, \
     verify_strong_ordering
 
-CLASSES = ("distance_hereditary", "p4_sparse", "bipartite_permutation",
-           "strongly_chordal", "random")
-
-
 @dataclass
 class GenSpec:
     """Reproducible description of one generated instance."""
@@ -300,17 +296,22 @@ def spider_graph(legs: int, kind: str = "thin", head: int = 0,
     return Graph(labels, edges)
 
 
+# Each class's generator and the GenSpec size fields it takes, in order,
+# before the seed; a GenSpec's params follow as keyword arguments.
+GENERATORS = {
+    "distance_hereditary": (gen_distance_hereditary, ("n",)),
+    "p4_sparse": (gen_p4_sparse, ("n",)),
+    "bipartite_permutation": (gen_bipartite_permutation, ("p", "q")),
+    "strongly_chordal": (gen_strongly_chordal, ("n",)),
+    "random": (gen_random_connected, ("n", "m")),
+}
+CLASSES = tuple(GENERATORS)
+
+
 def generate(spec: GenSpec) -> Graph:
     """Dispatch a GenSpec to its generator."""
-    if spec.cls == "distance_hereditary":
-        return gen_distance_hereditary(spec.n, spec.seed, **spec.params)
-    if spec.cls == "p4_sparse":
-        return gen_p4_sparse(spec.n, spec.seed)
-    if spec.cls == "bipartite_permutation":
-        return gen_bipartite_permutation(spec.p, spec.q, spec.seed,
-                                         **spec.params)
-    if spec.cls == "strongly_chordal":
-        return gen_strongly_chordal(spec.n, spec.seed, **spec.params)
-    if spec.cls == "random":
-        return gen_random_connected(spec.n, spec.m, spec.seed)
-    raise ValueError(f"unknown generator class {spec.cls!r}")
+    if spec.cls not in GENERATORS:
+        raise ValueError(f"unknown generator class {spec.cls!r}")
+    gen, fields = GENERATORS[spec.cls]
+    return gen(*(getattr(spec, name) for name in fields), spec.seed,
+               **spec.params)

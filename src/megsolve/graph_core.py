@@ -212,23 +212,7 @@ def all_pairs_distances(G: Graph) -> DistanceMatrix:
 
 def is_connected(G: Graph) -> bool:
     if G._connected is None:
-        if G.n == 0:
-            conn = True
-        else:
-            seen = 1
-            frontier = 1
-            masks = G.adj_masks
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= masks[v]
-                frontier = nxt & ~seen
-                seen |= frontier
-            conn = seen == (1 << G.n) - 1
-        G._connected = conn
+        G._connected = len(mask_components(G.adj_masks, (1 << G.n) - 1)) <= 1
     return G._connected
 
 

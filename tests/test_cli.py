@@ -68,10 +68,71 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert third == fourth
 
 
-def test_timing_flag_adds_elapsed(tmp_path, capsys):
+# Each graph command, the extra arguments it needs, and its result keys.
+GRAPH_COMMANDS = {
+    "recognize": ((), {"bipartitePermutation", "distanceHereditary",
+                       "p4Sparse", "stronglyChordal"}),
+    "meg": ((), {"class", "meg", "method", "minimal", "witness"}),
+    "verify": (("--set", "a,c"), {"isMeg", "uncovered"}),
+    "mandatory": ((), {"mandatory"}),
+    "cut": ((), {"cutVertices"}),
+    "oracle": ((), {"explored", "meg", "trustedBounds", "witness"}),
+}
+
+
+@pytest.mark.parametrize("timing", [False, True])
+@pytest.mark.parametrize("command", GRAPH_COMMANDS)
+def test_graph_command_report_shape(tmp_path, capsys, command, timing):
+    extra, result_keys = GRAPH_COMMANDS[command]
     path = write(tmp_path, "c4.edges", C4)
-    _, out, _ = run(capsys, "meg", path, "--timing")
-    assert "elapsedMs" in json.loads(out)
+    flags = ["--timing"] if timing else []
+    code, out, err = run(capsys, command, path, *extra, *flags)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    keys = {"schema", "command", "input", "result", "exit"}
+    assert set(doc) == keys | ({"elapsedMs"} if timing else set())
+    assert doc["schema"] == 1 and doc["exit"] == 0
+    assert doc["command"] == command
+    assert doc["input"] == {"n": 4, "m": 4, "labels": ["a", "b", "c", "d"],
+                            "path": path}
+    assert set(doc["result"]) == result_keys
+    if timing:
+        assert doc["elapsedMs"] >= 0
+
+
+GRAPH_FILES = {"empty": "", "one-vertex": "vertices: a\n",
+               "disconnected": "a b\nc d\n"}
+NO_VERTICES = "graph has no vertices"
+TOO_SMALL = "need at least two vertices"
+
+
+# The exit code and error message of each graph command on each small or
+# disconnected file; None means a report with exit 0.
+GRAPH_ERRORS = [
+    ("recognize", "empty", 3, NO_VERTICES),
+    ("cut", "empty", 3, NO_VERTICES),
+    ("meg", "empty", 3, TOO_SMALL),
+    ("mandatory", "empty", 3, TOO_SMALL),
+    ("oracle", "empty", 3, TOO_SMALL),
+    ("recognize", "one-vertex", 0, None),
+    ("cut", "one-vertex", 0, None),
+    ("meg", "one-vertex", 3, TOO_SMALL),
+    ("mandatory", "one-vertex", 3, TOO_SMALL),
+    ("oracle", "one-vertex", 3, TOO_SMALL),
+] + [(command, "disconnected", 3, "graph must be connected")
+     for command in GRAPH_COMMANDS]
+
+
+@pytest.mark.parametrize("command, name, code, message", GRAPH_ERRORS,
+                         ids=[f"{c}-{name}" for c, name, _, _ in GRAPH_ERRORS])
+def test_graph_command_errors(tmp_path, capsys, command, name, code, message):
+    path = write(tmp_path, "g.edges", GRAPH_FILES[name])
+    got, out, err = run(capsys, command, path, *GRAPH_COMMANDS[command][0])
+    assert got == code
+    if message is None:
+        assert err == "" and json.loads(out)["exit"] == 0
+    else:
+        assert out == "" and err == f"error: {message}\n"
 
 
 def test_meg_forced_method_and_witness_sorted(tmp_path, capsys):
@@ -326,14 +387,6 @@ def test_unreadable_input_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "meg", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_disconnected_exit_3(tmp_path, capsys):
-    path = write(tmp_path, "disc.edges", "a b\nc d\n")
-    for cmd in ("meg", "recognize", "cut", "oracle", "mandatory"):
-        code, _, err = run(capsys, cmd, path)
-        assert code == 3, cmd
-        assert "connected" in err
 
 
 def test_self_loop_exit_2(tmp_path, capsys):

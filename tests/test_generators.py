@@ -259,6 +259,20 @@ def test_generate_dispatch_params():
         generate(GenSpec("mystery", seed=0, n=4))
 
 
+@pytest.mark.parametrize("spec", [
+    GenSpec("random", seed=1, n=6, m=7, params={"style": "block"}),
+    GenSpec("p4_sparse", seed=1, n=6, params={"style": "block"}),
+    GenSpec("distance_hereditary", seed=1, n=6, params={"style": "block"}),
+    GenSpec("bipartite_permutation", seed=1, p=3, q=3,
+            params={"style": "block"}),
+])
+def test_generate_passes_params_to_every_class(spec):
+    # A parameter that the generator does not take is an error, never a
+    # graph whose genspec header records a parameter that was dropped.
+    with pytest.raises(TypeError):
+        generate(spec)
+
+
 def test_generator_validations():
     with pytest.raises(ValueError):
         gen_distance_hereditary(0, 1)
