@@ -137,18 +137,24 @@ def geodesic_edge_masks(G: Graph) -> tuple[tuple[int, ...], ...]:
     """Per source s and target t, the edges on every shortest s-t path.
 
     Bit i stands for ``G.edges()[i]``; ``masks[s][t]`` is 0 for t == s
-    and for t unreachable from s. One BFS per source: ``must[s] = 0`` and,
-    further out, ``must[w]`` is the AND over the BFS predecessors p of w
-    of ``must[p] | bit(p, w)``, since every shortest s-w path ends with
-    one predecessor edge. So ``masks[s][t] >> i & 1`` equals
+    and for t unreachable from s. So ``masks[s][t] >> i & 1`` equals
     ``monitors(G, s, t, G.edges()[i])``.
+    """
+    return tuple(map(tuple, geodesic_edge_rows(G, range(G.n))))
+
+
+def geodesic_edge_rows(G: Graph, sources):
+    """Yields ``geodesic_edge_masks(G)[s]``, as a list, for each s in
+    ``sources`` in turn, each from its own BFS once the last one is read:
+    ``must[s] = 0`` and, further out, ``must[w]`` is the AND over the BFS
+    predecessors p of w of ``must[p] | bit(p, w)``, since every shortest
+    s-w path ends with one predecessor edge.
     """
     adj = G.adj
     edge_bit: list[dict[int, int]] = [{} for _ in range(G.n)]
     for i, (u, v) in enumerate(G.edges()):
         edge_bit[u][v] = edge_bit[v][u] = 1 << i
-    rows = []
-    for s in range(G.n):
+    for s in sources:
         dist = [-1] * G.n
         must = [0] * G.n
         dist[s] = 0
@@ -165,8 +171,7 @@ def geodesic_edge_masks(G: Graph) -> tuple[tuple[int, ...], ...]:
                     queue.append(w)
                 elif dist[w] == d:
                     must[w] &= must_p | bits[w]
-        rows.append(tuple(must))
-    return tuple(rows)
+        yield must
 
 
 def is_meg_set(G: Graph, members) -> MegSetCheck:

@@ -1,28 +1,19 @@
 """Exhaustive ground-truth computation of minimum MEG sets.
 
-The oracle enumerates candidate subsets by increasing cardinality and, inside
-each cardinality, in lexicographic order, so the first hit is a canonical
-witness. Per-pair edge coverage comes from
-``monitoring.geodesic_edge_masks``, which agrees with the edge-deletion
-definition of ``monitoring.monitors``; it is precomputed once per graph so
-subset tests reduce to bitmask unions. One iterative kernel,
-``_covering_subsets``, walks the subsets of one size and keeps the union of
-each prefix, so consecutive subsets share the work of their common prefix.
-
-The kernel is bit-sliced. With m edges, a field is w = m + 1 bits: m
-coverage bits and a guard bit on top that stays 0. ``_pack`` builds the
-packed rows once per search, and every size is walked from them. A frame
-keeps, for each later position, the pairs that position would add to its
-prefix, packed as one int with field i for the i-th later position; the
-prefix itself lives in one path array indexed by depth. A child frame is
-two shifts and an OR. A frame two positions short of the size pushes no
-children: it walks them in one loop, and each child tests all its subsets
-with one addition: adding 1 to every field carries into a field's guard
-bit exactly when that field is all ones, and never beyond it, so the guard
-bits mark the covering subsets. Hits are read off lowest field first,
-which is the order in which the subsets are counted, so ranks,
-``explored`` and witnesses are those of a subset-by-subset scan. It tests
-every subset it counts; it prunes none.
+One search, ``_search``, forces a base set in and enumerates subsets of a
+pool by increasing cardinality and, inside each cardinality, in
+lexicographic order, so the first hit is a canonical witness. Raw mode and
+``all_min_meg_sets`` pool V. Trusted mode forces the mandatory vertices M
+and pools the non-cut vertices outside M: every MEG set contains M, and no
+minimum MEG set contains a cut vertex. The size limit bounds the pool.
+Per-pair edge coverage comes from ``monitoring.geodesic_edge_rows``,
+which agrees with the edge-deletion definition of ``monitoring.monitors``,
+one BFS per base or pool vertex. The kernel, ``_covering_subsets``, walks
+the subsets of one size, and subsets share the union of their common
+prefix. It is bit-sliced (``_pack`` and ``_covering_subsets`` say how),
+tests every subset it counts, prunes none, and reports hits in the order
+it counts subsets, so ranks, ``explored`` and witnesses are those of a
+subset-by-subset scan.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import LimitExceededError
 from .graph_core import Graph, non_cut_vertices
-from .monitoring import (geodesic_edge_masks, is_meg_set, mandatory_vertices,
+from .monitoring import (geodesic_edge_rows, is_meg_set, mandatory_vertices,
                          require_meg_input)
 
 DEFAULT_VERTEX_LIMIT = 12
@@ -46,21 +37,33 @@ class OracleResult:
     trusted_bounds: bool
 
 
-def _check_size(G: Graph, limit: int | None) -> int:
+def _check_size(size: int, limit: int | None) -> None:
     limit = DEFAULT_VERTEX_LIMIT if limit is None else limit
-    if G.n > limit:
-        raise LimitExceededError("brute-force oracle", G.n, limit)
-    return limit
+    if size > limit:
+        raise LimitExceededError("brute-force oracle", size, limit)
 
 
-def _pair_cover_masks(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """For every vertex pair (a, b), the bitmask ``rows[a][b]`` of the edges
-    it monitors (bit i is ``G.edges()[i]``; 0 when it monitors none).
+def _pair_cover_masks(G: Graph, base, pool):
+    """The edge masks the search reads, bit i standing for
+    ``G.edges()[i]``: (full coverage mask, ``acc0``, ``seeds``, ``pair``).
+    ``acc0`` holds the edges that pairs of ``base`` monitor, ``seeds[i]``
+    those that ``pool[i]`` monitors with some base vertex, and
+    ``pair[i][j]`` those that ``pool[i]`` and ``pool[j]`` monitor.
 
-    Read off ``geodesic_edge_masks``, which agrees with the edge-deletion
-    definition. Returns (full coverage mask, rows).
+    Read off ``geodesic_edge_rows``: one BFS per vertex of base and
+    pool, each row dropped once read.
     """
-    return (1 << G.m) - 1, geodesic_edge_masks(G)
+    acc0, seeds, pair = 0, [], []
+    for i, row in enumerate(geodesic_edge_rows(G, (*base, *pool))):
+        with_base = 0
+        for b in base:
+            with_base |= row[b]
+        if i < len(base):
+            acc0 |= with_base
+        else:
+            seeds.append(with_base)
+            pair.append([row[v] for v in pool])
+    return (1 << G.m) - 1, acc0, seeds, pair
 
 
 def _pack(pair, seeds, full: int):
@@ -158,53 +161,45 @@ def _covering_subsets(packed, acc0: int, size: int):
                           tails >> w * (i + 1) | rows[p], p, depth + 1))
 
 
+def _search(G: Graph, base: tuple[int, ...], pool, first: int):
+    """The one search: ``base`` plus ``extra`` vertices of ``pool``, for
+    ``extra`` from ``first`` on. Packs once and yields, per size, the
+    ``_covering_subsets`` hits (positions in ``pool``) and C(|pool|,
+    extra). Sizes that leave |S| < 2 are counted, not tested: no hits.
+    """
+    full, acc0, seeds, pair = _pair_cover_masks(G, base, pool)
+    packed = _pack(pair, seeds, full)
+    for extra in range(first, len(pool) + 1):
+        hits = (_covering_subsets(packed, acc0, extra)
+                if len(base) + extra >= 2 else iter(()))
+        yield hits, math.comb(len(pool), extra)
+
+
 def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
                        limit: int | None = None) -> OracleResult:
-    """Minimum MEG set by subset search.
-
-    With ``trust_bounds`` the search is restricted to supersets of the
-    mandatory vertices within the non-cut vertices; both modes return the
-    same minimum cardinality. ``explored`` counts the subsets walked up to
-    and including the witness: in trusted mode every combination of pool
-    vertices from size 0 on (those leaving |S| < 2 are counted, not
-    tested), in raw mode every vertex subset from size 2 on.
+    """Minimum MEG set by subset search, raw or trusted (module
+    docstring); both modes return the same minimum cardinality.
+    ``explored`` counts the subsets walked up to and including the
+    witness: in trusted mode every combination of pool vertices from size
+    0 on (those leaving |S| < 2 are counted, not tested), in raw mode
+    every vertex subset from size 2 on.
     """
     require_meg_input(G)
-    _check_size(G, limit)
-    full, rows = _pair_cover_masks(G)
-    explored = 0
     if trust_bounds:
-        base = mandatory_vertices(G)
-        pool = [v for v in non_cut_vertices(G) if v not in base]
-        acc0 = 0
-        for i, a in enumerate(base):
-            for b in base[i + 1:]:
-                acc0 |= rows[a][b]
-        seeds = []
-        for v in pool:
-            seed = 0
-            for b in base:
-                seed |= rows[v][b]
-            seeds.append(seed)
-        packed = _pack([[rows[v][w] for w in pool] for v in pool], seeds,
-                       full)
-        for extra in range(len(pool) + 1):
-            if len(base) + extra >= 2:
-                hit = next(_covering_subsets(packed, acc0, extra), None)
-                if hit is not None:
-                    rank, picked = hit
-                    S = tuple(sorted(base + tuple(pool[p] for p in picked)))
-                    return OracleResult(len(S), S, explored + rank, True)
-            explored += math.comb(len(pool), extra)
-        raise AssertionError("no MEG set found inside sandwich bounds")
-    packed = _pack(rows, [0] * G.n, full)
-    for size in range(2, G.n + 1):
-        hit = next(_covering_subsets(packed, 0, size), None)
+        base, first = mandatory_vertices(G), 0
+        pool = tuple(sorted(set(non_cut_vertices(G)).difference(base)))
+    else:
+        base, pool, first = (), range(G.n), 2
+    _check_size(len(pool), limit)
+    explored = 0
+    for hits, count in _search(G, base, pool, first):
+        hit = next(hits, None)
         if hit is not None:
-            rank, combo = hit
-            return OracleResult(size, combo, explored + rank, False)
-        explored += math.comb(G.n, size)
-    raise AssertionError("V itself must be an MEG set")
+            rank, picked = hit
+            S = tuple(sorted(base + tuple(pool[p] for p in picked)))
+            return OracleResult(len(S), S, explored + rank, trust_bounds)
+        explored += count
+    raise AssertionError("base and pool together must form an MEG set")
 
 
 def mandatory_bruteforce(G: Graph, v: int, limit: int | None = None) -> bool:
@@ -214,7 +209,7 @@ def mandatory_bruteforce(G: Graph, v: int, limit: int | None = None) -> bool:
     the edges at v are searched for an uncovered one.
     """
     require_meg_input(G)
-    _check_size(G, limit)
+    _check_size(G.n, limit)
     if not 0 <= v < G.n:
         raise ValueError("vertex id out of range")
     rest = tuple(x for x in range(G.n) if x != v)
@@ -228,11 +223,9 @@ def all_min_meg_sets(G: Graph, limit: int | None = None) -> list[tuple[int, ...]
     as an independent check of those bounds.
     """
     require_meg_input(G)
-    _check_size(G, limit)
-    full, rows = _pair_cover_masks(G)
-    packed = _pack(rows, [0] * G.n, full)
-    for size in range(2, G.n + 1):
-        hits = [combo for _, combo in _covering_subsets(packed, 0, size)]
-        if hits:
-            return hits
+    _check_size(G.n, limit)
+    for hits, _ in _search(G, (), range(G.n), 2):
+        found = [combo for _, combo in hits]
+        if found:
+            return found
     raise AssertionError("V itself must be an MEG set")

@@ -167,11 +167,12 @@ def solve(G: Graph, method: str = "auto",
     Auto mode walks ``ROUTES`` (distance-hereditary, bipartite
     permutation, strongly chordal, P4-sparse) and solves by the closed
     form of the first class recognized; otherwise it falls back to the
-    brute-force oracle on small graphs, and finally to sandwich bounds
-    only. The forced methods ``cut`` and ``mandatory`` walk only the
-    routes of their closed form and raise MethodMismatchError, with the
-    verdicts seen, when none applies; ``structural`` raises
-    NotP4SparseError on shapes it cannot solve.
+    trusted oracle on small pools (``upper - lower`` of the bounds, at
+    most the oracle limit), and finally to sandwich bounds only. The
+    forced methods ``cut`` and ``mandatory`` walk only the routes of their
+    closed form and raise MethodMismatchError, with the verdicts seen,
+    when none applies; ``structural`` raises NotP4SparseError on shapes it
+    cannot solve.
     """
     require_meg_input(G)
     if method not in METHODS:
@@ -187,8 +188,8 @@ def solve(G: Graph, method: str = "auto",
         res = _walk_routes(G, None if method == "auto" else f"{method}_based")
         if res is not None:
             return res
-        if G.n > limit:
-            return MegResult("none", "none", None, None, False,
-                             bounds=bounds(G))
+        b = bounds(G)
+        if b.upper - b.lower > limit:
+            return MegResult("none", "none", None, None, False, bounds=b)
     res = min_meg_bruteforce(G, trust_bounds=True, limit=limit)
     return MegResult("none", "oracle", res.meg, res.witness, True)

@@ -369,6 +369,33 @@ def test_oracle_limit_env(tmp_path, capsys, monkeypatch):
     assert "MEGSOLVE_ORACLE_LIMIT" in err
 
 
+def test_oracle_and_meg_past_the_vertex_limit(tmp_path, capsys,
+                                             monkeypatch):
+    # n = 30, but the pool (non-cut vertices outside M) fits the default
+    # limit of 12: the trusted oracle and auto mode answer exactly, while
+    # raw search over all 30 vertices stays refused.
+    monkeypatch.delenv("MEGSOLVE_ORACLE_LIMIT", raising=False)
+    path = str(tmp_path / "r30.edges")
+    assert run(capsys, "gen", "--class", "random", "--n", "30", "--m", "36",
+               "--seed", "1", "--out", path)[0] == 0
+    code, out, err = run(capsys, "oracle", path)
+    doc = json.loads(out)["result"]
+    assert (code, err) == (0, "")
+    assert doc["meg"] == 16 and doc["trustedBounds"] is True
+    code, out, err = run(capsys, "meg", path)
+    res = json.loads(out)["result"]
+    assert (code, err) == (0, "")
+    assert (res["class"], res["method"], res["minimal"]) == ("none", "oracle",
+                                                             True)
+    assert res["meg"] == 16 and res["witness"] == doc["witness"]
+    assert "bounds" not in res
+    code, out, _ = run(capsys, "meg", "--method", "oracle", path)
+    assert code == 0 and json.loads(out)["result"] == res
+    code, out, err = run(capsys, "oracle", path, "--no-trust-bounds")
+    assert (code, out) == (5, "")
+    assert err == "error: brute-force oracle: size 30 exceeds limit 12\n"
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bad.edges", "a b\njust-one-token\n")
     code, _, err = run(capsys, "meg", path)

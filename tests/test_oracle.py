@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from megsolve import (LimitExceededError, all_min_meg_sets,
+from megsolve import (LimitExceededError, all_min_meg_sets, bounds,
                       gen_random_connected, is_mandatory, is_meg_set,
                       mandatory_bruteforce, mandatory_vertices,
                       min_meg_bruteforce)
@@ -141,6 +141,29 @@ def test_size_limit_enforced():
         mandatory_bruteforce(path_graph(13), 0)
 
 
+def test_size_limit_bounds_the_pool():
+    # Trusted mode searches only the pool, the non-cut vertices outside M,
+    # so the limit bounds the pool; raw mode searches V, so it bounds n.
+    res = min_meg_bruteforce(path_graph(13))
+    assert (res.meg, res.witness, res.explored) == (2, (0, 12), 1)
+    with pytest.raises(LimitExceededError, match="size 13 exceeds limit 12"):
+        min_meg_bruteforce(path_graph(13), trust_bounds=False)
+    G = gen_random_connected(30, 36, 1)
+    b = bounds(G)
+    pool = b.upper - b.lower
+    assert pool <= 12 < G.n
+    res = min_meg_bruteforce(G, limit=pool)
+    assert (res.meg, res.trusted_bounds) == (16, True)
+    assert is_meg_set(G, res.witness).ok
+    with pytest.raises(LimitExceededError,
+                       match=f"size {pool} exceeds limit {pool - 1}$"):
+        min_meg_bruteforce(G, limit=pool - 1)
+    with pytest.raises(LimitExceededError, match="size 30 exceeds limit 12"):
+        min_meg_bruteforce(G, trust_bounds=False)
+    with pytest.raises(LimitExceededError, match="size 30 exceeds limit 12"):
+        all_min_meg_sets(G)
+
+
 def _assert_search_matches_rescan(G):
     for trust in (True, False):
         res = min_meg_bruteforce(G, trust_bounds=trust)
@@ -249,23 +272,30 @@ def test_covering_subsets_matches_combinations():
 
 
 def test_one_packing_per_search(monkeypatch):
-    # Each search packs once, however many sizes it walks: raw search and
-    # all_min_meg_sets on K7 walk sizes 2 to 7, trusted search on C7 (no
-    # mandatory vertex) tests pool sizes 2 and 3.
-    packs, sizes = [], []
-    pack, walk = oracle._pack, oracle._covering_subsets
+    # Each search runs the one search once, and it packs once, however
+    # many sizes it walks: raw search and all_min_meg_sets on K7 walk sizes
+    # 2 to 7 of the pool V, trusted search on C7 (no mandatory vertex)
+    # counts pool sizes 0 and 1 and tests sizes 2 and 3.
+    searches, packs, sizes = [], [], []
+    search, pack, walk = oracle._search, oracle._pack, oracle._covering_subsets
+    monkeypatch.setattr(oracle, "_search",
+                        lambda *a: searches.append(a[1:]) or search(*a))
     monkeypatch.setattr(oracle, "_pack",
                         lambda *a: packs.append(a) or pack(*a))
     monkeypatch.setattr(oracle, "_covering_subsets",
                         lambda *a: sizes.append(a[-1]) or walk(*a))
-    for search, G, walked in (
+    for run, G, called, walked in (
             (lambda G: min_meg_bruteforce(G, trust_bounds=False),
-             complete_graph(7), [2, 3, 4, 5, 6, 7]),
-            (min_meg_bruteforce, cycle_graph(7), [2, 3]),
-            (all_min_meg_sets, complete_graph(7), [2, 3, 4, 5, 6, 7])):
+             complete_graph(7), ((), range(7), 2), [2, 3, 4, 5, 6, 7]),
+            (min_meg_bruteforce, cycle_graph(7),
+             ((), tuple(range(7)), 0), [2, 3]),
+            (all_min_meg_sets, complete_graph(7), ((), range(7), 2),
+             [2, 3, 4, 5, 6, 7])):
+        searches.clear()
         packs.clear()
         sizes.clear()
-        search(G)
+        run(G)
+        assert searches == [called]
         assert len(packs) == 1 and sizes == walked
 
 

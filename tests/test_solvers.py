@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
 
 import megsolve.solvers
+from megsolve import oracle
 from megsolve import (MethodMismatchError, NotConnectedError,
-                      NotP4SparseError, build_graph, co_components,
+                      NotP4SparseError, bounds, build_graph, co_components,
                       cut_vertices_via_strong_ordering,
-                      gen_bipartite_permutation_with_ordering, is_meg_set,
+                      gen_bipartite_permutation_with_ordering,
+                      gen_random_connected, is_meg_set,
                       mandatory_vertices, min_meg_bruteforce,
                       recognize_bipartite_permutation,
                       recognize_distance_hereditary, recognize_p4_sparse,
@@ -495,6 +498,81 @@ def test_solve_oracle_limit_override():
     res = solve(cycle_graph(13), oracle_limit=13)
     assert res.method == "oracle"
     assert res.meg == 3
+
+
+def test_auto_oracle_past_the_vertex_limit_matches_raw_oracle():
+    # The limit bounds the pool, the non-cut vertices outside M, not n. At
+    # n 13-16 auto mode answers 157 sparse random graphs by the trusted
+    # oracle, and the raw oracle over every vertex subset agrees on each.
+    decided = 0
+    for n in range(13, 17):
+        for seed in range(1, 41):
+            G = gen_random_connected(n, n + n // 4, seed)
+            res = solve(G)
+            if res.method != "oracle":
+                continue
+            decided += 1
+            b = bounds(G)
+            assert b.upper - b.lower <= 12 < G.n
+            assert res.minimality_guaranteed
+            assert res.meg == min_meg_bruteforce(G, trust_bounds=False,
+                                                 limit=n).meg
+            assert set(b.mandatory) <= set(res.witness)
+            assert set(res.witness).isdisjoint(articulation_points(G))
+            assert is_meg_set(G, res.witness).ok
+    assert decided == 157
+
+
+# Auto mode on gen_random_connected(n, m, seed), seeds 1-20: how many of
+# the 20 it decides. None of these graphs is in a recognized class, so each
+# is decided by the trusted oracle exactly when its pool fits the limit.
+_POOL_REACH = {(30, 36): 14, (60, 66): 12, (60, 72): 1, (60, 78): 0,
+               (200, 220): 0}
+
+
+@pytest.mark.parametrize("n, m", sorted(_POOL_REACH))
+def test_auto_mode_reach_by_pool_size(n, m):
+    decided = 0
+    for seed in range(1, 21):
+        G = gen_random_connected(n, m, seed)
+        res = solve(G)
+        b = bounds(G)
+        if res.method == "oracle":
+            decided += 1
+            assert b.upper - b.lower <= 12 and b.lower <= res.meg <= b.upper
+        else:
+            assert res.method == "none" and res.bounds == b
+            assert b.upper - b.lower > 12
+    assert decided == _POOL_REACH[n, m]
+
+
+def _c5_with_tail(k):
+    """C5 with a k-vertex path hanging off vertex 4. It holds a hole, an
+    odd cycle and a P4 with a fifth vertex, so no route recognizes it;
+    M is the tail's end and the pool is vertices 0-3."""
+    return build_graph([(i, (i + 1) % 5) for i in range(5)]
+                       + [(4 + i, 5 + i) for i in range(k)])
+
+
+def test_auto_oracle_cost_follows_the_pool_not_n(monkeypatch):
+    # The trusted search runs one BFS per vertex of M and of the pool, five
+    # here, not one per vertex of G, so a 2000-vertex tail costs five
+    # passes over it and no n-by-n mask table.
+    sources = []
+    rows = oracle.geodesic_edge_rows
+    monkeypatch.setattr(oracle, "geodesic_edge_rows",
+                        lambda G, s: sources.append(tuple(s)) or rows(G, s))
+    short = _c5_with_tail(7)
+    assert min_meg_bruteforce(short, trust_bounds=False).meg == 3
+    res = solve(short)
+    assert (res.method, res.meg, res.witness) == ("oracle", 3, (0, 2, 11))
+    G = _c5_with_tail(2000)
+    start = time.perf_counter()
+    res = solve(G)
+    assert time.perf_counter() - start < 5
+    assert (res.method, res.meg, res.witness) == ("oracle", 3, (0, 2, 2004))
+    assert sources == [tuple(range(12)), (11, 0, 1, 2, 3),
+                       (2004, 0, 1, 2, 3)]
 
 
 def test_solve_forced_methods():
