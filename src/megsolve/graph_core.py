@@ -36,7 +36,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "labels", "adj", "adj_masks",
-                 "_label_ids", "_connected", "_articulation")
+                 "_label_ids", "_connected", "_articulation", "_mandatory")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(map(str, labels))
@@ -74,6 +74,7 @@ class Graph:
         self._label_ids = index
         self._connected = None
         self._articulation = None
+        self._mandatory = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]

@@ -265,8 +265,11 @@ def mandatory_vertices(G: Graph) -> tuple[int, ...]:
     The rule of ``is_mandatory`` with each neighbor's covered set computed
     at most once, the first time some v reads it: O(m) mask operations in
     total, and often far fewer, since the scan of N(v) stops at the first
-    qualifying u.
+    qualifying u. Cached on the graph, so auto mode's bounds and the
+    oracle it falls back to scan once.
     """
+    if G._mandatory is not None:
+        return G._mandatory
     require_meg_input(G)
     adj, masks = G.adj, G.adj_masks
     # 0 means "not computed yet": a covered set always holds u itself.
@@ -278,9 +281,10 @@ def mandatory_vertices(G: Graph) -> tuple[int, ...]:
             got = covered[u] = _covered(adj, masks, u)
         return got
 
-    return tuple(v for v in range(G.n)
-                 if _mandatory_witness(masks, adj[v], v,
-                                       covered_once) is not None)
+    G._mandatory = tuple(v for v in range(G.n)
+                         if _mandatory_witness(masks, adj[v], v,
+                                               covered_once) is not None)
+    return G._mandatory
 
 
 def bounds(G: Graph) -> Bounds:

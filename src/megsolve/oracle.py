@@ -10,9 +10,13 @@ Per-pair edge coverage comes from ``monitoring.geodesic_edge_rows``,
 which agrees with the edge-deletion definition of ``monitoring.monitors``,
 one BFS per base or pool vertex. The kernel, ``_covering_subsets``, walks
 the subsets of one size, and subsets share the union of their common
-prefix. It is bit-sliced (``_pack`` and ``_covering_subsets`` say how),
+prefix. It is bit-sliced (``_pack`` and ``_covering_subsets`` say how):
+one packed test covers every choice of the last position. Only prefixes
+with three or more positions left are stack frames; a frame's last three
+positions run inline, as two nested loops around that test. The kernel
 tests every subset it counts, prunes none, and reports hits in the order
-it counts subsets, so ranks, ``explored`` and witnesses are those of a
+it counts subsets; a hit's rank comes from its positions by binomial
+coefficients, so ranks, ``explored`` and witnesses are those of a
 subset-by-subset scan.
 """
 
@@ -93,31 +97,45 @@ def _covering_subsets(packed, acc0: int, size: int):
 
     Yields (rank, P) with rank the 1-based place of P among all
     ``size``-subsets in ``itertools.combinations`` order, which is also
-    the order of the hits. Every subset is tested.
+    the order of the hits. Every subset is tested. A hit's rank is
+    computed from its positions only when it is yielded: the subsets
+    after P that first differ from it at index i take all their
+    size - i remaining positions past c = P[i], C(n - 1 - c, size - i)
+    of them, so rank = C(n, size) minus that count summed over i.
 
-    Each frame of the iterative walk holds one prefix: its coverage
-    ``acc`` and ``tails``, whose field i is what position ``start + i``
-    would add to it. The child that appends p = start + i takes ``acc``
-    plus field i, and ``tails`` shifted past field i ORed with
-    ``rows[p]``, so that its field 0 is again position p + 1. A frame
-    carries only its depth and last position (-1 at the root);
-    ``path[d]`` holds the position taken at depth d, so the prefix of the
-    frame being walked is ``path[1 : depth + 1]``. Frames pop in lexicographic order of their
-    prefixes, so each pop overwrites only entries of prefixes already done.
+    A prefix keeps its coverage ``acc`` and ``tails``, whose field i is
+    what position ``start + i`` would add to it. The child that appends
+    p = start + i takes ``acc`` plus field i, and ``tails`` shifted past
+    field i ORed with ``rows[p]``, so that its field 0 is again position
+    p + 1.
 
-    A frame with two positions left walks its children itself and pushes
-    none. Child p, with L positions after it, holds the next L subsets,
-    which differ in their last position only. Field i of the child's
-    ``tails | acc * ones[L]`` is the coverage of the i-th, and adding
-    ``ones[L]`` carries into the guard bit of field i exactly when that
-    coverage is all ones; the guard was 0, so no carry reaches field
-    i + 1. The guard bits, shifted down by m, are the hits; the i-th has
-    rank ``rank + i + 1``, and reading the hits lowest first keeps
-    combinations order.
+    Only prefixes with three or more positions left are frames of the
+    iterative walk; no frame is pushed for a prefix with two left. A
+    frame carries its depth and last position (-1 at
+    the root); ``path[d]`` holds the position taken at depth d, so the
+    prefix of the frame being walked is ``path[1 : depth + 1]``. Frames
+    pop in lexicographic order of their prefixes, so each pop overwrites
+    only entries of prefixes already done. A frame with three positions
+    left walks its children p and grandchildren q in two nested loops
+    and pushes nothing; size 2 walks the root's children the same way.
+
+    Grandchild q, with L positions after it, holds the next L subsets,
+    which differ in their last position only. Field i of its
+    ``tails | rows[q] | acc * ones[L]`` is the coverage of the i-th, and
+    adding ``ones[L]`` carries into the guard bit of field i exactly when
+    that coverage is all ones; the guard was 0, so no carry reaches field
+    i + 1. The guard bits, shifted down by m, are the hits; reading them
+    lowest first keeps combinations order.
     """
     full, w, ones, rows, tails = packed
     m = w - 1
     n = len(rows)
+    total = math.comb(n, size)
+
+    def ranked(picked):
+        return total - sum(math.comb(n - 1 - c, size - i)
+                           for i, c in enumerate(picked)), picked
+
     if size <= 1:
         # The empty set, or the one-position subsets of the root.
         if size == 0:
@@ -128,37 +146,50 @@ def _covering_subsets(packed, acc0: int, size: int):
         hits = ((tails | acc0 * o) + o) >> m & o
         while hits:
             low = hits & -hits
-            i = (low.bit_length() - 1) // w
-            yield i + 1, (i,)
+            yield ranked(((low.bit_length() - 1) // w,))
             hits ^= low
         return
-    rank = 0
-    path = [0] * (size + 1)
+    # (rows[q], ones[L]) of the last two positions' loop, L = n - 1 - q.
+    leaves = [(rows[q], ones[n - 1 - q]) for q in range(n - 1)]
+    if size == 2:
+        for p, (row, o) in enumerate(leaves):
+            a = acc0 | tails & full
+            tails >>= w
+            hits = ((tails | row | a * o) + o) >> m & o
+            while hits:
+                low = hits & -hits
+                yield ranked((p, p + 1 + (low.bit_length() - 1) // w))
+                hits ^= low
+        return
+    path = [0] * (size - 2)
     stack = [(acc0, tails, -1, 0)]
     while stack:
         acc, tails, last, depth = stack.pop()
         path[depth] = last
         start = last + 1
         left = size - depth
-        if left == 2:
-            for p in range(start, n - 1):
-                a = acc | tails & full
-                tails >>= w
-                L = n - 1 - p
-                o = ones[L]
-                hits = ((tails | rows[p] | a * o) + o) >> m & o
-                while hits:
-                    low = hits & -hits
-                    i = (low.bit_length() - 1) // w
-                    yield rank + i + 1, (*path[1:depth + 1], p, p + 1 + i)
-                    hits ^= low
-                rank += L
+        if left > 3:
+            # Children pushed last-first, so they pop in ascending order.
+            for i in range(n - start - left, -1, -1):
+                p = start + i
+                stack.append((acc | tails >> w * i & full,
+                              tails >> w * (i + 1) | rows[p], p, depth + 1))
             continue
-        # Children pushed last-first, so they pop in ascending order.
-        for i in range(n - start - left, -1, -1):
-            p = start + i
-            stack.append((acc | tails >> w * i & full,
-                          tails >> w * (i + 1) | rows[p], p, depth + 1))
+        for p in range(start, n - 2):
+            a1 = acc | tails & full
+            tails >>= w
+            t1 = tails | rows[p]
+            for row, o in leaves[p + 1:]:
+                a = a1 | t1 & full
+                t1 >>= w
+                hits = ((t1 | row | a * o) + o) >> m & o
+                while hits:
+                    # o = ones[L] ends in field L - 1, and q = n - 1 - L.
+                    q = n - 2 - (o.bit_length() - 1) // w
+                    low = hits & -hits
+                    yield ranked((*path[1:depth + 1], p, q,
+                                  q + 1 + (low.bit_length() - 1) // w))
+                    hits ^= low
 
 
 def _search(G: Graph, base: tuple[int, ...], pool, first: int):

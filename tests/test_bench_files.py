@@ -2,6 +2,7 @@
 tools/bench_pairs.py, holds what a point of the benchmark trajectory needs:
 every run's metrics, each side's summaries, and what identifies each side."""
 
+import importlib.util
 import json
 import pathlib
 import statistics
@@ -61,3 +62,50 @@ def test_bench_file_keys(path):
                     assert summary["median"] == statistics.median(values)
                     assert (min(values) <= summary["q1"] <= summary["median"]
                             <= summary["q3"] <= max(values))
+
+
+def _bench_pairs():
+    path = ROOT / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verdict_table_on_synthetic_runs():
+    # Ten pairs of one workload. The change wins ops_per_s in nine (pair 3
+    # loses), ties latency_p50_ms in every pair, and raises peak_rss_mb by
+    # 15% against its 0.1 bound; setup_s wins in all ten by a hair.
+    bench_pairs = _bench_pairs()
+    spec = {"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "setup_s", "better": "lower", "bound": 0.25}]}
+    runs = []
+    for pair in range(10):
+        runs.append({"pair": pair, "side": "parent", "trace": 0, "metrics": {
+            "ops_per_s": 100.0 + pair, "latency_p50_ms": 2.0,
+            "peak_rss_mb": 20.0, "setup_s": 0.5}})
+        runs.append({"pair": pair, "side": "change", "trace": 0, "metrics": {
+            "ops_per_s": 90.0 if pair == 3 else 120.0 + pair,
+            "latency_p50_ms": 2.0, "peak_rss_mb": 23.0, "setup_s": 0.499}})
+    # A traced pair is not an end-to-end sample and counts for neither.
+    for side in SIDES:
+        runs.append({"pair": 10, "side": side, "trace": 1, "metrics": {}})
+    sides = {side: {"end_to_end": bench_pairs.summarize(
+        [r for r in runs if r["side"] == side and r["trace"] == 0])}
+        for side in SIDES}
+    doc = {"workloads": {"oracle": {"sides": sides, "runs": runs}}}
+    lines = bench_pairs.verdict_table(doc, spec).splitlines()
+    assert lines[0].split() == ["workload", "metric", "parent", "change",
+                                "parent_iqr", "wins", "over_bound"]
+    rows = {cols[1]: cols for cols in map(str.split, lines[1:])}
+    assert list(rows) == [m["name"] for m in spec["end_to_end"]]
+    assert rows["ops_per_s"] == ["oracle", "ops_per_s", "104.5000",
+                                 "124.5000", "4.5000", "9/10", "no"]
+    assert rows["latency_p50_ms"][2:] == ["2.0000", "2.0000", "0.0000",
+                                          "0/10", "no"]
+    assert rows["peak_rss_mb"][2:] == ["20.0000", "23.0000", "0.0000",
+                                       "0/10", "yes"]
+    assert rows["setup_s"][5:] == ["10/10", "no"]

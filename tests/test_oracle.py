@@ -299,9 +299,9 @@ def test_one_packing_per_search(monkeypatch):
         assert len(packs) == 1 and sizes == walked
 
 
-# (meg, witness, explored) in trusted and raw mode, recorded from the
-# list-based kernel on the benchmark's largest sizes; n > 12 is beyond
-# the rescan comparisons above.
+# (meg, witness, explored) in trusted and raw mode, recorded from earlier
+# kernels on the benchmark's largest sizes and two beyond them; n > 12 is
+# beyond the rescan comparisons above.
 _PINNED_SEARCHES = {
     (15, 22, 1): [(10, (2, 4, 5, 6, 7, 8, 9, 10, 12, 13), 9),
                   (10, (2, 4, 5, 6, 7, 8, 9, 10, 12, 13), 30694)],
@@ -315,6 +315,12 @@ _PINNED_SEARCHES = {
                   (8, (5, 7, 8, 10, 11, 12, 14, 15), 39123)],
     (16, 48, 1): [(16, tuple(range(16)), 1), (16, tuple(range(16)), 65519)],
     (16, 48, 2): [(16, tuple(range(16)), 1), (16, tuple(range(16)), 65519)],
+    # Mid-size raw hits, found below frames deeper than the inline levels.
+    (17, 26, 1): [(11, (2, 4, 5, 8, 9, 10, 11, 12, 13, 14, 16), 3),
+                  (11, (2, 4, 5, 8, 9, 10, 11, 12, 13, 14, 16), 121160)],
+    (18, 27, 1): [(13, (1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 15, 16, 17), 3),
+                  (13, (1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 15, 16, 17),
+                   256882)],
 }
 
 
@@ -323,7 +329,7 @@ def test_search_pinned_at_benchmark_sizes(n, m, seed):
     G = gen_random_connected(n, m, seed)
     got = []
     for trust in (True, False):
-        res = min_meg_bruteforce(G, trust_bounds=trust, limit=16)
+        res = min_meg_bruteforce(G, trust_bounds=trust, limit=n)
         got.append((res.meg, res.witness, res.explored))
     assert got == _PINNED_SEARCHES[n, m, seed]
 

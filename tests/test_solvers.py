@@ -4,7 +4,7 @@ import time
 import pytest
 
 import megsolve.solvers
-from megsolve import oracle
+from megsolve import monitoring, oracle
 from megsolve import (MethodMismatchError, NotConnectedError,
                       NotP4SparseError, bounds, build_graph, co_components,
                       cut_vertices_via_strong_ordering,
@@ -573,6 +573,21 @@ def test_auto_oracle_cost_follows_the_pool_not_n(monkeypatch):
     assert (res.method, res.meg, res.witness) == ("oracle", 3, (0, 2, 2004))
     assert sources == [tuple(range(12)), (11, 0, 1, 2, 3),
                        (2004, 0, 1, 2, 3)]
+
+
+def test_auto_oracle_fallback_scans_the_mandatory_vertices_once(monkeypatch):
+    # Auto mode's bounds and the trusted oracle it falls back to share M,
+    # cached on the graph: one witness scan per vertex per solve, not two.
+    calls = []
+    witness = monitoring._mandatory_witness
+    monkeypatch.setattr(monitoring, "_mandatory_witness",
+                        lambda *a: calls.append(a[2]) or witness(*a))
+    G = gen_random_connected(30, 36, 1)
+    res = solve(G)
+    assert (res.method, res.meg) == ("oracle", 16)
+    assert sorted(calls) == list(range(G.n))
+    assert mandatory_vertices(G) == bounds(G).mandatory
+    assert len(calls) == G.n
 
 
 def test_solve_forced_methods():

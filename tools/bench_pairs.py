@@ -16,7 +16,8 @@ changed: each side runs its own ``perfbench/``.
 
 The output holds, per workload and side, every run's metrics, their
 median and quartiles, and the seed, corpus fingerprint, ``report_digest``
-and commit of the side. A side's commit is ``git rev-parse HEAD`` of its
+and commit of the side. After writing it, the script prints a verdict
+table, one row per workload and end-to-end metric (``verdict_table``). A side's commit is ``git rev-parse HEAD`` of its
 checkout; ``dirty`` says whether ``src/`` differs from that commit, and
 ``src_sha256`` identifies the source that ran either way.
 """
@@ -139,6 +140,39 @@ def bench_workload(args, roots: dict, workload: str, seconds: float) -> dict:
             "layer_pairs": args.layer_pairs, "sides": sides, "runs": runs}
 
 
+def verdict_table(doc: dict, spec: dict) -> str:
+    """Per workload and end-to-end metric of ``spec``: the parent and
+    change medians, the parent's quartile spread (q3 - q1), the pairs the
+    change wins in the direction of ``better`` (ties win for neither), and
+    whether the change's median is worse than the parent's by more than
+    ``bound``, a share of the parent's median.
+    """
+    lines = [f"{'workload':10s} {'metric':20s} {'parent':>12s} "
+             f"{'change':>12s} {'parent_iqr':>12s} {'wins':>6s} over_bound"]
+    for w, entry in doc["workloads"].items():
+        sides = entry["sides"]
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            # sign * (a - b) > 0 when a is better than b.
+            sign = 1 if metric["better"] == "higher" else -1
+            parent = sides["parent"]["end_to_end"][name]
+            change = sides["change"]["end_to_end"][name]["median"]
+            pairs: dict[int, dict] = {}
+            for r in entry["runs"]:
+                if r["trace"] == 0:
+                    pairs.setdefault(r["pair"], {})[r["side"]] = \
+                        r["metrics"][name]
+            wins = sum(sign * (p["change"] - p["parent"]) > 0
+                       for p in pairs.values())
+            over = (sign * (parent["median"] - change)
+                    > metric["bound"] * abs(parent["median"]))
+            lines.append(f"{w:10s} {name:20s} {parent['median']:12.4f} "
+                         f"{change:12.4f} {parent['q3'] - parent['q1']:12.4f} "
+                         f"{f'{wins}/{len(pairs)}':>6s} "
+                         f"{'yes' if over else 'no'}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(SPEC_PATH, encoding="utf-8") as fh:
@@ -156,11 +190,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for w, entry in doc["workloads"].items():
-        for name, change in entry["sides"]["change"]["end_to_end"].items():
-            parent = entry["sides"]["parent"]["end_to_end"][name]["median"]
-            print(f"{w:10s} {name:20s} {parent:12.4f} -> "
-                  f"{change['median']:12.4f}")
+    print(verdict_table(doc, spec))
     return 0
 
 
