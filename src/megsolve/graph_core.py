@@ -83,7 +83,8 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.adj_masks[u] >> v) & 1 == 1
+        return 0 <= u < self.n and 0 <= v < self.n \
+            and self.adj_masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in sorted order."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import LimitExceededError
 from .graph_core import Graph, non_cut_vertices
@@ -194,16 +195,23 @@ def _covering_subsets(packed, acc0: int, size: int):
 
 def _search(G: Graph, base: tuple[int, ...], pool, first: int):
     """The one search: ``base`` plus ``extra`` vertices of ``pool``, for
-    ``extra`` from ``first`` on. Packs once and yields, per size, the
-    ``_covering_subsets`` hits (positions in ``pool``) and C(|pool|,
-    extra). Sizes that leave |S| < 2 are counted, not tested: no hits.
+    ``extra`` from ``first`` on, packed once. Returns (explored, hits) at
+    the least ``extra`` that has a hit: ``hits`` yields its
+    ``_covering_subsets`` hits (positions in ``pool``), the first hit
+    first, and ``explored`` counts the C(|pool|, extra) subsets of every
+    smaller size. Sizes that leave |S| < 2 are counted, not tested.
     """
     full, acc0, seeds, pair = _pair_cover_masks(G, base, pool)
     packed = _pack(pair, seeds, full)
+    explored = 0
     for extra in range(first, len(pool) + 1):
-        hits = (_covering_subsets(packed, acc0, extra)
-                if len(base) + extra >= 2 else iter(()))
-        yield hits, math.comb(len(pool), extra)
+        if len(base) + extra >= 2:
+            hits = _covering_subsets(packed, acc0, extra)
+            hit = next(hits, None)
+            if hit is not None:
+                return explored, chain((hit,), hits)
+        explored += math.comb(len(pool), extra)
+    raise AssertionError("base and pool together must form an MEG set")
 
 
 def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
@@ -222,15 +230,10 @@ def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
     else:
         base, pool, first = (), range(G.n), 2
     _check_size(len(pool), limit)
-    explored = 0
-    for hits, count in _search(G, base, pool, first):
-        hit = next(hits, None)
-        if hit is not None:
-            rank, picked = hit
-            S = tuple(sorted(base + tuple(pool[p] for p in picked)))
-            return OracleResult(len(S), S, explored + rank, trust_bounds)
-        explored += count
-    raise AssertionError("base and pool together must form an MEG set")
+    explored, hits = _search(G, base, pool, first)
+    rank, picked = next(hits)
+    S = tuple(sorted(base + tuple(pool[p] for p in picked)))
+    return OracleResult(len(S), S, explored + rank, trust_bounds)
 
 
 def mandatory_bruteforce(G: Graph, v: int, limit: int | None = None) -> bool:
@@ -255,8 +258,4 @@ def all_min_meg_sets(G: Graph, limit: int | None = None) -> list[tuple[int, ...]
     """
     require_meg_input(G)
     _check_size(G.n, limit)
-    for hits, _ in _search(G, (), range(G.n), 2):
-        found = [combo for _, combo in hits]
-        if found:
-            return found
-    raise AssertionError("V itself must be an MEG set")
+    return [combo for _, combo in _search(G, (), range(G.n), 2)[1]]

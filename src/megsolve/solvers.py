@@ -6,20 +6,19 @@ join and spider shapes, the minimum MEG set is the set M of mandatory
 vertices. ``ROUTES`` serves auto mode, the forced ``cut`` and
 ``mandatory`` methods and the ``recognize`` command. The method labels
 ``cut_based``, ``mandatory_based`` and ``p4_structural`` are kept for
-report compatibility. A decomposition solver merges solutions of the
-blocks (biconnected components) without claiming minimality.
+report compatibility. One exact block search serves auto mode's
+fallback and the ``oracle`` and ``decomposition`` methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import MethodMismatchError, NotP4SparseError
+from .errors import LimitExceededError, MethodMismatchError, NotP4SparseError
 from .graph_core import (Graph, articulation_points, blocks, induced_subgraph,
                          vertex_set)
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
-from .oracle import DEFAULT_VERTEX_LIMIT, min_meg_bruteforce
+from .oracle import _check_size, _search
 from .recognizers import (SEO, PruneSequence, StrongOrdering, _neighbor_ends,
                           _p4_stuck, recognize_bipartite_permutation,
                           recognize_distance_hereditary, recognize_p4_sparse,
@@ -123,41 +122,43 @@ def cut_vertices_via_strong_ordering(G: Graph, so: StrongOrdering) -> tuple[int,
     return tuple(sorted(result))
 
 
-def _default_piece_solver(oracle_limit: int | None) -> Callable[[Graph], tuple[int, ...]]:
-    def solve_piece(H: Graph) -> tuple[int, ...]:
-        res = solve(H, method="auto", oracle_limit=oracle_limit)
-        if res.witness is None:
-            raise MethodMismatchError(
-                f"decomposition piece with {H.n} vertices has no applicable "
-                "solver")
-        return res.witness
-    return solve_piece
+def solve_by_cut_decomposition(G: Graph,
+                               oracle_limit: int | None = None) -> tuple[int, ...]:
+    """The trusted oracle's witness, a minimum MEG set, found one block
+    (biconnected component or bridge) at a time.
 
-
-def solve_by_cut_decomposition(
-        G: Graph,
-        piece_solver: Callable[[Graph], tuple[int, ...]] | None = None,
-        oracle_limit: int | None = None) -> tuple[int, ...]:
-    """Assemble an MEG set from the blocks of G, in one pass over the
-    blocks the articulation-point DFS records.
-
-    Each block (biconnected component, or a bridge) is solved as an
-    induced subgraph; the union of the block solutions minus the cut
-    vertices is the answer. It is a valid MEG set but carries no
-    minimality claim. Piece-solver failures propagate. This equals
-    splitting pieces at cut vertices until none is left: such a walk ends
-    with exactly the blocks as pieces, ids in the same order, and splits
-    exactly at the cut vertices of G, since a split puts every vertex but
-    the split one into exactly one piece.
+    S is an MEG set iff, for every block B, B's cut vertices plus S inside
+    B monitor every edge of the induced subgraph G[B]: shortest paths
+    between vertices of B stay in B; a vertex beyond a cut vertex c of B
+    meets B through c, so c stands in for it; and each side hanging at c
+    holds a leaf block, whose own test needs a vertex of S there. Cut
+    vertices in S add nothing and each non-cut vertex lies in one block,
+    so the minimum MEG sets are the unions of one minimum X_B per block,
+    X_B a set of non-cut vertices of B. All of them contain M, so each
+    block's search forces ``base`` (B's cut vertices and M inside B) and
+    pools the rest of B; an empty pool costs no BFS, as B covers G[B].
+    Every pool is checked against ``oracle_limit`` before any search. The
+    union U of the first hits is the trusted oracle's witness: of two sets
+    of equal size, A comes first in combinations order iff min(A ^ B) is
+    in A, and for any other minimum V, min(U ^ V) lies in the pool of a
+    block where they differ, in that block's first hit
+    (``induced_subgraph`` keeps the order of ids).
     """
     require_meg_input(G)
-    if piece_solver is None:
-        piece_solver = _default_piece_solver(oracle_limit)
-    found: set[int] = set()
+    forced = set(articulation_points(G)).union(mandatory_vertices(G))
+    searches = []
     for block in blocks(G):
         ids = vertex_set(block)
-        found.update(ids[i] for i in piece_solver(induced_subgraph(G, ids)))
-    return vertex_set(found.difference(articulation_points(G)))
+        base = tuple(i for i, v in enumerate(ids) if v in forced)
+        pool = tuple(i for i, v in enumerate(ids) if v not in forced)
+        searches.append((ids, base, pool))
+    _check_size(max(len(pool) for _, _, pool in searches), oracle_limit)
+    found = set(mandatory_vertices(G))
+    for ids, base, pool in searches:
+        if pool:
+            _, hits = _search(induced_subgraph(G, ids), base, pool, 0)
+            found.update(ids[pool[p]] for p in next(hits)[1])
+    return vertex_set(found)
 
 
 def solve(G: Graph, method: str = "auto",
@@ -166,30 +167,29 @@ def solve(G: Graph, method: str = "auto",
 
     Auto mode walks ``ROUTES`` (distance-hereditary, bipartite
     permutation, strongly chordal, P4-sparse) and solves by the closed
-    form of the first class recognized; otherwise it falls back to the
-    trusted oracle on small pools (``upper - lower`` of the bounds, at
-    most the oracle limit), and finally to sandwich bounds only. The
-    forced methods ``cut`` and ``mandatory`` walk only the routes of their
-    closed form and raise MethodMismatchError, with the verdicts seen,
-    when none applies; ``structural`` raises NotP4SparseError on shapes it
-    cannot solve.
+    form of the first class recognized; otherwise it runs the block search
+    of ``solve_by_cut_decomposition`` (method "oracle"), or gives sandwich
+    bounds only when a block's pool exceeds the oracle limit. The forced
+    ``oracle`` and ``decomposition`` methods run the block search and let
+    that LimitExceededError through. The forced methods ``cut`` and
+    ``mandatory`` walk only the routes of their closed form and raise
+    MethodMismatchError, with the verdicts seen, when none applies;
+    ``structural`` raises NotP4SparseError on shapes it cannot solve.
     """
     require_meg_input(G)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    limit = DEFAULT_VERTEX_LIMIT if oracle_limit is None else oracle_limit
     if method == "structural":
         return solve_p4_structural(G)
-    if method == "decomposition":
-        witness = solve_by_cut_decomposition(G, oracle_limit=limit)
-        return MegResult("none", "decomposition", len(witness), witness,
-                         False)
-    if method != "oracle":
+    if method not in ("oracle", "decomposition"):
         res = _walk_routes(G, None if method == "auto" else f"{method}_based")
         if res is not None:
             return res
-        b = bounds(G)
-        if b.upper - b.lower > limit:
-            return MegResult("none", "none", None, None, False, bounds=b)
-    res = min_meg_bruteforce(G, trust_bounds=True, limit=limit)
-    return MegResult("none", "oracle", res.meg, res.witness, True)
+    try:
+        witness = solve_by_cut_decomposition(G, oracle_limit)
+    except LimitExceededError:
+        if method != "auto":
+            raise
+        return MegResult("none", "none", None, None, False, bounds=bounds(G))
+    return MegResult("none", method if method == "decomposition" else "oracle",
+                     len(witness), witness, True)

@@ -18,7 +18,6 @@ from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
                       verify_spider_partition)
 from megsolve.graph_core import (DistanceMatrix, all_pairs_distances,
                                  articulation_points, bfs_distances,
-                                 connected_components, induced_subgraph,
                                  vertex_set)
 from megsolve.monitoring import (SATURATION_CAP, MegSetCheck,
                                  geodesic_edge_masks, require_meg_input)
@@ -394,35 +393,6 @@ def scan_induced_subgraph(G: Graph, members) -> Graph:
     edges = [(remap[u], remap[v])
              for u in ids for v in G.adj[u] if u < v and v in remap]
     return Graph([G.labels[i] for i in ids], edges)
-
-
-def split_walk_decompose(G: Graph, piece_solver) -> tuple[int, ...]:
-    """Cut decomposition by splitting pieces at their lowest cut vertex
-    until none is left, rebuilding each piece as an induced subgraph and
-    rerunning the articulation DFS on it (quadratic on long paths).
-
-    Pieces sit on an explicit stack in depth-first order. The answer is
-    every label some final piece's solution holds, minus every split
-    vertex. Shares ``articulation_points``, ``connected_components`` and
-    ``induced_subgraph`` with the package; only the walk is independent.
-    """
-    found: set[str] = set()
-    split: set[str] = set()
-    stack = [G]
-    while stack:
-        H = stack.pop()
-        aps = articulation_points(H)
-        if not aps:
-            found.update(H.labels_of(piece_solver(H)))
-            continue
-        v = aps[0]
-        split.add(H.labels[v])
-        rest = [u for u in range(H.n) if u != v]
-        shards = connected_components(induced_subgraph(H, rest))
-        for shard in reversed(shards):
-            members = sorted([rest[i] for i in shard] + [v])
-            stack.append(induced_subgraph(H, members))
-    return vertex_set(G.id_of(label) for label in found - split)
 
 
 def _induces_p4_sets(adj: dict[int, set[int]], quad) -> bool:

@@ -634,3 +634,21 @@ def test_decomposition_on_a_long_path(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code == 0
     assert json.loads(out)["result"]["witness"] == ["v0", "v1199"]
+
+
+def test_decomposition_is_exact_and_refuses_an_over_limit_block(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MEGSOLVE_ORACLE_LIMIT", raising=False)
+    seven = write(tmp_path, "seven.edges",
+                  "0 1\n0 2\n0 3\n1 4\n2 6\n4 5\n4 6\n")
+    code, out, err = run(capsys, "meg", "--method", "decomposition", seven)
+    assert (code, err) == (0, "")
+    res = json.loads(out)["result"]
+    assert (res["method"], res["meg"], res["witness"], res["minimal"]) == (
+        "decomposition", 3, ["2", "3", "5"], True)
+    c13 = write(tmp_path, "c13.edges",
+                "".join(f"v{i} v{(i + 1) % 13}\n" for i in range(13)))
+    for method in ("oracle", "decomposition"):
+        code, out, err = run(capsys, "meg", "--method", method, c13)
+        assert (code, out) == (5, "")
+        assert err == "error: brute-force oracle: size 13 exceeds limit 12\n"

@@ -70,6 +70,8 @@ def test_accessors_roundtrip():
     assert G.degree(1) == 2
     assert G.has_edge(0, 1) and not G.has_edge(0, 2)
     assert not G.has_edge(0, 0)
+    assert not G.has_edge(-1, 1) and not G.has_edge(1, -1)
+    assert not G.has_edge(3, 1) and not G.has_edge(1, 3)
     assert G.edges() == [(0, 1), (1, 2)]
     assert G.closed_mask(1) == 0b111
     assert G.label(2) == "c"

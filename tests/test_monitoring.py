@@ -58,6 +58,21 @@ def test_monitors_validations():
         mandatory_vertices(K1)
 
 
+@pytest.mark.parametrize("edge", [(-1, 2), (2, -1), (9, 1), (1, 4)])
+def test_edges_with_out_of_range_ids_are_not_edges(edge):
+    # On C4, id -1 would index vertex 3, a neighbour of 2, and id 9 would
+    # raise IndexError; every query names such an edge as not in G.
+    C = cycle_graph(4)
+    assert not C.has_edge(*edge)
+    with pytest.raises(ValueError, match="not in graph"):
+        monitors(C, 0, 3, edge)
+    dist, counts = shortest_path_counts(C)
+    with pytest.raises(ValueError, match="not in graph"):
+        monitors_by_counting(C, dist, counts, 0, 3, edge)
+    with pytest.raises(ValueError, match="not in graph"):
+        graph_core.bfs_distances(C, 0, skip_edge=edge)
+
+
 def test_monitors_agrees_with_geodesic_enumeration():
     rng = random.Random(23)
     for _ in range(40):

@@ -5,8 +5,9 @@ import pytest
 
 import megsolve.solvers
 from megsolve import monitoring, oracle
-from megsolve import (MethodMismatchError, NotConnectedError,
-                      NotP4SparseError, bounds, build_graph, co_components,
+from megsolve import (Graph, LimitExceededError, MethodMismatchError,
+                      NotConnectedError, NotP4SparseError, bounds,
+                      build_graph, co_components,
                       cut_vertices_via_strong_ordering,
                       gen_bipartite_permutation_with_ordering,
                       gen_random_connected, is_meg_set,
@@ -21,8 +22,7 @@ from megsolve.recognizers import spider_by_degrees
 
 from graphs_util import (all_connected_graphs, complete_graph,
                          connected_graph_classes, cycle_graph, path_graph,
-                         random_connected_graph, split_walk_decompose,
-                         star_graph, with_universal)
+                         random_connected_graph, star_graph, with_universal)
 
 
 def domino():
@@ -401,55 +401,69 @@ def test_decomposition_yields_valid_meg_sets():
         checked += 1
 
 
-def test_decomposition_custom_piece_solver():
-    calls = []
-
-    def solver(H):
-        calls.append(H.n)
-        return tuple(range(H.n))
-
-    G = path_graph(4)
-    witness = solve_by_cut_decomposition(G, piece_solver=solver)
-    assert witness == (0, 3)  # cut vertices dropped from the union
-    assert calls and all(c >= 2 for c in calls)
+# Solving each block of this graph alone and dropping the cut vertices
+# gives {1, 3, 5, 6}; meg is 3.
+_SEVEN = Graph([str(v) for v in range(7)],
+               [(0, 1), (0, 2), (0, 3), (1, 4), (2, 6), (4, 5), (4, 6)])
 
 
-def _recording(solver):
-    """The piece solver ``solver`` plus the list of pieces it was given,
-    each as (labels, adjacency)."""
-    pieces = []
-
-    def record(H):
-        pieces.append((H.labels, H.adj))
-        return solver(H)
-
-    return record, pieces
+def test_decomposition_is_minimal_on_the_seven_vertex_graph():
+    res = solve(_SEVEN, method="decomposition")
+    assert (res.class_used, res.method, res.meg, res.witness,
+            res.minimality_guaranteed) == ("none", "decomposition", 3,
+                                           (2, 3, 5), True)
+    assert solve_by_cut_decomposition(_SEVEN) == (2, 3, 5)
 
 
-def _assert_blocks_match_split_walk(G):
-    for solver in (lambda H: tuple(range(0, H.n, 2)),
-                   lambda H: solve(H).witness):
-        record, pieces = _recording(solver)
-        witness = solve_by_cut_decomposition(G, piece_solver=record)
-        ref_record, ref_pieces = _recording(solver)
-        assert witness == split_walk_decompose(G, ref_record)
-        assert sorted(pieces) == sorted(ref_pieces)
-    # The default piece solver is the last one above.
-    assert solve_by_cut_decomposition(G) == witness
+def _assert_block_search_matches_oracle(G, limit=None):
+    """The block search's witness is the trusted oracle's and its size
+    the raw oracle's; every method that runs it agrees."""
+    trusted = min_meg_bruteforce(G, limit=limit)
+    raw = min_meg_bruteforce(G, trust_bounds=False, limit=limit)
+    witness = solve_by_cut_decomposition(G, oracle_limit=limit)
+    assert witness == trusted.witness and len(witness) == raw.meg
+    for method in ("oracle", "decomposition"):
+        res = solve(G, method=method, oracle_limit=limit)
+        assert (res.meg, res.witness, res.minimality_guaranteed) == (
+            raw.meg, witness, True)
 
 
-def test_decomposition_matches_split_walk_exhaustively():
+def test_block_search_matches_oracle_exhaustively():
     for n in range(2, 8):
         for G in connected_graph_classes(n):
-            _assert_blocks_match_split_walk(G)
+            _assert_block_search_matches_oracle(G)
 
 
-def test_decomposition_matches_split_walk_random():
-    rng = random.Random(9)
-    for _ in range(500):
-        n = rng.randrange(2, 13)
-        G = random_connected_graph(rng, n, extra=rng.randrange(0, n))
-        _assert_blocks_match_split_walk(G)
+def test_block_search_matches_oracle_random():
+    rng = random.Random(23)
+    for seed in range(400):
+        n = rng.randrange(6, 17)
+        m = rng.randrange(n - 1, 2 * n + 1)
+        _assert_block_search_matches_oracle(gen_random_connected(n, m, seed),
+                                            limit=n)
+
+
+def test_block_pools_are_checked_before_any_search(monkeypatch):
+    # C13 has one block, pool 13. Two C7s glued at a vertex have a pool
+    # of 6 in each block, 12 in all, so a limit of 6 still answers them.
+    searched = []
+    search = megsolve.solvers._search
+    monkeypatch.setattr(megsolve.solvers, "_search",
+                        lambda *a: searched.append(a[0].n) or search(*a))
+    with pytest.raises(LimitExceededError,
+                       match="size 13 exceeds limit 12$"):
+        solve_by_cut_decomposition(cycle_graph(13))
+    for method in ("oracle", "decomposition"):
+        with pytest.raises(LimitExceededError):
+            solve(cycle_graph(13), method=method)
+    assert searched == []
+    glued = build_graph([(f"a{i}", f"a{(i + 1) % 7}") for i in range(7)]
+                        + [(f"b{i}", f"b{i + 1}") for i in range(1, 6)]
+                        + [("a0", "b1"), ("b6", "a0")])
+    res = solve(glued, oracle_limit=6)
+    assert (res.method, res.meg) == ("oracle", 4)
+    assert searched == [7, 7]
+    assert min_meg_bruteforce(glued, trust_bounds=False, limit=13).meg == 4
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +569,15 @@ def _c5_with_tail(k):
 
 
 def test_auto_oracle_cost_follows_the_pool_not_n(monkeypatch):
-    # The trusted search runs one BFS per vertex of M and of the pool, five
-    # here, not one per vertex of G, so a 2000-vertex tail costs five
-    # passes over it and no n-by-n mask table.
+    # The block search runs one BFS per base and pool vertex of each block
+    # with a nonempty pool, on that block alone: here the five vertices of
+    # the C5 block, with cut vertex 4 as base. The tail's bridges have
+    # empty pools and cost no BFS, so a 2000-vertex tail adds none.
     sources = []
     rows = oracle.geodesic_edge_rows
     monkeypatch.setattr(oracle, "geodesic_edge_rows",
-                        lambda G, s: sources.append(tuple(s)) or rows(G, s))
+                        lambda G, s: sources.append((G.n, tuple(s)))
+                        or rows(G, s))
     short = _c5_with_tail(7)
     assert min_meg_bruteforce(short, trust_bounds=False).meg == 3
     res = solve(short)
@@ -571,8 +587,36 @@ def test_auto_oracle_cost_follows_the_pool_not_n(monkeypatch):
     res = solve(G)
     assert time.perf_counter() - start < 5
     assert (res.method, res.meg, res.witness) == ("oracle", 3, (0, 2, 2004))
-    assert sources == [tuple(range(12)), (11, 0, 1, 2, 3),
-                       (2004, 0, 1, 2, 3)]
+    assert sources == [(12, tuple(range(12))), (5, (4, 0, 1, 2, 3)),
+                       (5, (4, 0, 1, 2, 3))]
+
+
+def _c5_recursive_tree(n, seed):
+    """A random recursive tree grown on a C5 core: vertex v >= 5 hangs
+    off a uniformly random earlier vertex. About half the vertices are
+    leaves, so M is large, and the pool is at most the core's five."""
+    rng = random.Random(seed)
+    return build_graph([(i, (i + 1) % 5) for i in range(5)]
+                       + [(rng.randrange(v), v) for v in range(5, n)])
+
+
+def test_auto_oracle_cost_on_a_large_mandatory_set():
+    # The whole-graph trusted search runs one BFS per mandatory vertex;
+    # the block search runs none outside the core, since every bridge's
+    # pool is empty.
+    G = _c5_recursive_tree(1000, 1)
+    res = solve(G)
+    assert res.method == "oracle"
+    assert len(mandatory_vertices(G)) > 400
+    assert res.witness == min_meg_bruteforce(G).witness
+    G = _c5_recursive_tree(5000, 1)
+    start = time.perf_counter()
+    res = solve(G)
+    assert time.perf_counter() - start < 2
+    assert res.method == "oracle" and res.minimality_guaranteed
+    man = mandatory_vertices(G)
+    assert set(man) <= set(res.witness) and res.meg <= len(man) + 5
+    assert set(res.witness).isdisjoint(articulation_points(G))
 
 
 def test_auto_oracle_fallback_scans_the_mandatory_vertices_once(monkeypatch):
@@ -598,7 +642,7 @@ def test_solve_forced_methods():
     res = solve(path_graph(5), method="decomposition")
     assert res.method == "decomposition"
     assert res.meg == 2
-    assert not res.minimality_guaranteed
+    assert res.minimality_guaranteed
 
 
 def test_solve_forced_method_mismatches():
