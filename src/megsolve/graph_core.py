@@ -309,7 +309,8 @@ def non_cut_vertices(G: Graph) -> tuple[int, ...]:
 
 
 def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph induced by ``members`` (nonempty); labels carry over."""
+    """Subgraph induced by ``members`` (nonempty); labels carry over.
+    Its ids come from G, already checked, so no constructor check reruns."""
     ids = vertex_set(members)
     if not ids:
         raise ValueError("induced subgraph needs a nonempty vertex set")
@@ -320,9 +321,10 @@ def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
     # Each member reads only its neighbors inside the set, so a vertex in
     # many small subgraphs (a cut vertex in many blocks) costs little in each.
     masks = G.adj_masks
-    edges = [(remap[u], remap[v]) for u in ids
-             for v in iter_bits(masks[u] & (members_mask >> (u + 1) << (u + 1)))]
-    return Graph([G.labels[i] for i in ids], edges)
+    edges = [x for u in ids
+             for v in iter_bits(masks[u] & (members_mask >> (u + 1) << (u + 1)))
+             for x in (remap[u], remap[v])]
+    return _graph_from_ids({G.labels[i]: remap[i] for i in ids}, edges)
 
 
 def complement(G: Graph) -> Graph:
@@ -513,7 +515,13 @@ def format_edge_list(G: Graph, header_comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     if G.n:
         lines.append("vertices: " + " ".join(G.labels))
-    lines.extend(f"{G.labels[u]} {G.labels[v]}" for u, v in G.edges())
+    # One string per vertex, its edges to higher ids one line each, keeps
+    # the peak near the size of the text.
+    for u, nbrs in enumerate(G.adj):
+        later = [G.labels[v] for v in nbrs if v > u]
+        if later:
+            head = G.labels[u] + " "
+            lines.append(head + ("\n" + head).join(later))
     return "\n".join(lines) + "\n"
 
 

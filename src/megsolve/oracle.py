@@ -2,32 +2,31 @@
 
 One search, ``_search``, forces a base set in and enumerates subsets of a
 pool by increasing cardinality and, inside each cardinality, in
-lexicographic order, so the first hit is a canonical witness. Raw mode and
-``all_min_meg_sets`` pool V. Trusted mode forces the mandatory vertices M
-and pools the non-cut vertices outside M: every MEG set contains M, and no
-minimum MEG set contains a cut vertex. The size limit bounds the pool.
-Per-pair edge coverage comes from ``monitoring.geodesic_edge_rows``,
-which agrees with the edge-deletion definition of ``monitoring.monitors``,
-one BFS per base or pool vertex. The kernel, ``_covering_subsets``, walks
-the subsets of one size, and subsets share the union of their common
-prefix. It is bit-sliced (``_pack`` and ``_covering_subsets`` say how):
-one packed test covers every choice of the last position. Only prefixes
-with three or more positions left are stack frames; a frame's last three
-positions run inline, as two nested loops around that test. The kernel
-tests every subset it counts, prunes none, and reports hits in the order
-it counts subsets; a hit's rank comes from its positions by binomial
-coefficients, so ranks, ``explored`` and witnesses are those of a
-subset-by-subset scan.
+lexicographic order, so the first hit is a canonical witness. Raw mode,
+``all_min_meg_sets`` and ``mandatory_bruteforce`` work on all of V, so
+the size limit bounds n. Trusted mode is the block search,
+``solve_by_cut_decomposition``, and the limit bounds each block's pool.
+Coverage comes from ``_pair_cover_masks``. The kernel,
+``_covering_subsets``, walks the subsets of one size, and subsets share
+the union of their common prefix. It is bit-sliced (``_pack`` and
+``_covering_subsets`` say how): one packed test covers every choice of
+the last position. Only prefixes with three or more positions left are
+stack frames; a frame's last three positions run inline, as two nested
+loops around that test. It tests every subset, prunes none, and yields
+hits in combinations order; ``explored`` is counted from the witness
+(``_rank``), not walked.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import LimitExceededError
-from .graph_core import Graph, non_cut_vertices
+from .graph_core import (Graph, articulation_points, blocks, induced_subgraph,
+                         non_cut_vertices, vertex_set)
 from .monitoring import (geodesic_edge_rows, is_meg_set, mandatory_vertices,
                          require_meg_input)
 
@@ -46,6 +45,17 @@ def _check_size(size: int, limit: int | None) -> None:
     limit = DEFAULT_VERTEX_LIMIT if limit is None else limit
     if size > limit:
         raise LimitExceededError("brute-force oracle", size, limit)
+
+
+def _rank(n: int, picked, first: int) -> int:
+    """The 1-based place of ``picked`` (k ascending positions) in a walk
+    over the subsets of ``range(n)`` by size from ``first`` on, each size
+    in combinations order: the walk up to size k less, for each index i,
+    the C(n - 1 - c, k - i) later subsets that first differ at c = picked[i].
+    """
+    k = len(picked)
+    return sum(math.comb(n, e) for e in range(first, k + 1)) - sum(
+        math.comb(n - 1 - c, k - i) for i, c in enumerate(picked))
 
 
 def _pair_cover_masks(G: Graph, base, pool):
@@ -96,13 +106,8 @@ def _covering_subsets(packed, acc0: int, size: int):
     coverage ``acc0 | OR seeds[p] | OR pair[p][q]`` (p, q in P) is
     ``full``.
 
-    Yields (rank, P) with rank the 1-based place of P among all
-    ``size``-subsets in ``itertools.combinations`` order, which is also
-    the order of the hits. Every subset is tested. A hit's rank is
-    computed from its positions only when it is yielded: the subsets
-    after P that first differ from it at index i take all their
-    size - i remaining positions past c = P[i], C(n - 1 - c, size - i)
-    of them, so rank = C(n, size) minus that count summed over i.
+    Yields each such P as a tuple, in ``itertools.combinations`` order.
+    Every subset is tested.
 
     A prefix keeps its coverage ``acc`` and ``tails``, whose field i is
     what position ``start + i`` would add to it. The child that appends
@@ -131,23 +136,17 @@ def _covering_subsets(packed, acc0: int, size: int):
     full, w, ones, rows, tails = packed
     m = w - 1
     n = len(rows)
-    total = math.comb(n, size)
-
-    def ranked(picked):
-        return total - sum(math.comb(n - 1 - c, size - i)
-                           for i, c in enumerate(picked)), picked
-
     if size <= 1:
         # The empty set, or the one-position subsets of the root.
         if size == 0:
             if acc0 == full:
-                yield 1, ()
+                yield ()
             return
         o = ones[n]
         hits = ((tails | acc0 * o) + o) >> m & o
         while hits:
             low = hits & -hits
-            yield ranked(((low.bit_length() - 1) // w,))
+            yield (low.bit_length() - 1) // w,
             hits ^= low
         return
     # (rows[q], ones[L]) of the last two positions' loop, L = n - 1 - q.
@@ -159,7 +158,7 @@ def _covering_subsets(packed, acc0: int, size: int):
             hits = ((tails | row | a * o) + o) >> m & o
             while hits:
                 low = hits & -hits
-                yield ranked((p, p + 1 + (low.bit_length() - 1) // w))
+                yield p, p + 1 + (low.bit_length() - 1) // w
                 hits ^= low
         return
     path = [0] * (size - 2)
@@ -188,52 +187,83 @@ def _covering_subsets(packed, acc0: int, size: int):
                     # o = ones[L] ends in field L - 1, and q = n - 1 - L.
                     q = n - 2 - (o.bit_length() - 1) // w
                     low = hits & -hits
-                    yield ranked((*path[1:depth + 1], p, q,
-                                  q + 1 + (low.bit_length() - 1) // w))
+                    yield (*path[1:depth + 1], p, q,
+                           q + 1 + (low.bit_length() - 1) // w)
                     hits ^= low
 
 
 def _search(G: Graph, base: tuple[int, ...], pool, first: int):
     """The one search: ``base`` plus ``extra`` vertices of ``pool``, for
-    ``extra`` from ``first`` on, packed once. Returns (explored, hits) at
-    the least ``extra`` that has a hit: ``hits`` yields its
-    ``_covering_subsets`` hits (positions in ``pool``), the first hit
-    first, and ``explored`` counts the C(|pool|, extra) subsets of every
-    smaller size. Sizes that leave |S| < 2 are counted, not tested.
+    ``extra`` from ``first`` on, packed once. Returns the
+    ``_covering_subsets`` hits (positions in ``pool``) of the least
+    ``extra`` that has any; sizes that leave |S| < 2 are not tested.
     """
     full, acc0, seeds, pair = _pair_cover_masks(G, base, pool)
     packed = _pack(pair, seeds, full)
-    explored = 0
     for extra in range(first, len(pool) + 1):
         if len(base) + extra >= 2:
             hits = _covering_subsets(packed, acc0, extra)
             hit = next(hits, None)
             if hit is not None:
-                return explored, chain((hit,), hits)
-        explored += math.comb(len(pool), extra)
+                return chain((hit,), hits)
     raise AssertionError("base and pool together must form an MEG set")
+
+
+def solve_by_cut_decomposition(G: Graph,
+                               oracle_limit: int | None = None) -> tuple[int, ...]:
+    """The first minimum MEG set in combinations order, found one block
+    (biconnected component or bridge) at a time.
+
+    S is an MEG set iff, for every block B, B's cut vertices plus S inside
+    B monitor every edge of G[B]: shortest paths between vertices of B
+    stay in B; a vertex beyond a cut vertex c of B meets B through c, so c
+    stands in for it; and each side hanging at c holds a leaf block, whose
+    own test needs a vertex of S there. Cut vertices in S add nothing and
+    each non-cut vertex lies in one block, so the minimum MEG sets are the
+    unions of one minimum X_B of non-cut vertices per block. All contain
+    M, so each block forces ``base`` (its cut vertices and M in it) and
+    pools the rest; an empty pool costs no BFS. Every pool is checked
+    against ``oracle_limit`` before any search. Of two sets of equal size,
+    A comes first iff min(A ^ B) is in A; for the union U of the first
+    hits and any other minimum V, min(U ^ V) lies in the pool of a block
+    where they differ, so in its first hit (``induced_subgraph`` keeps the
+    order of ids). A block that is all of G is searched on G itself.
+    """
+    require_meg_input(G)
+    forced = set(articulation_points(G)).union(mandatory_vertices(G))
+    searches = [(ids, tuple(i for i, v in enumerate(ids) if v in forced),
+                 tuple(i for i, v in enumerate(ids) if v not in forced))
+                for ids in map(vertex_set, blocks(G))]
+    _check_size(max(len(pool) for _, _, pool in searches), oracle_limit)
+    found = set(mandatory_vertices(G))
+    for ids, base, pool in searches:
+        if pool:
+            H = G if len(ids) == G.n else induced_subgraph(G, ids)
+            found.update(ids[pool[p]] for p in next(_search(H, base, pool, 0)))
+    return vertex_set(found)
 
 
 def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
                        limit: int | None = None) -> OracleResult:
-    """Minimum MEG set by subset search, raw or trusted (module
-    docstring); both modes return the same minimum cardinality.
-    ``explored`` counts the subsets walked up to and including the
-    witness: in trusted mode every combination of pool vertices from size
-    0 on (those leaving |S| < 2 are counted, not tested), in raw mode
-    every vertex subset from size 2 on.
+    """The first minimum MEG set W in combinations order, by the block
+    search (trusted) or by search over every vertex subset (raw).
+
+    ``explored`` is W's place (``_rank``) in a walk over a pool P: V from
+    size 2 (raw) or the non-cut vertices outside M from size 0 (trusted).
+    Trusted mode counts it without walking, so where the blocks fit the
+    limit but P does not it can exceed any possible walk.
     """
     require_meg_input(G)
     if trust_bounds:
-        base, first = mandatory_vertices(G), 0
-        pool = tuple(sorted(set(non_cut_vertices(G)).difference(base)))
+        S = solve_by_cut_decomposition(G, limit)
+        M = set(mandatory_vertices(G))
+        pool, first = [v for v in non_cut_vertices(G) if v not in M], 0
     else:
-        base, pool, first = (), range(G.n), 2
-    _check_size(len(pool), limit)
-    explored, hits = _search(G, base, pool, first)
-    rank, picked = next(hits)
-    S = tuple(sorted(base + tuple(pool[p] for p in picked)))
-    return OracleResult(len(S), S, explored + rank, trust_bounds)
+        _check_size(G.n, limit)
+        M, pool, first = (), range(G.n), 2
+        S = next(_search(G, M, pool, first))
+    pos = [bisect_left(pool, v) for v in S if v not in M]
+    return OracleResult(len(S), S, _rank(len(pool), pos, first), trust_bounds)
 
 
 def mandatory_bruteforce(G: Graph, v: int, limit: int | None = None) -> bool:
@@ -258,4 +288,4 @@ def all_min_meg_sets(G: Graph, limit: int | None = None) -> list[tuple[int, ...]
     """
     require_meg_input(G)
     _check_size(G.n, limit)
-    return [combo for _, combo in _search(G, (), range(G.n), 2)[1]]
+    return list(_search(G, (), range(G.n), 2))

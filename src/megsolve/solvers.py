@@ -6,8 +6,8 @@ join and spider shapes, the minimum MEG set is the set M of mandatory
 vertices. ``ROUTES`` serves auto mode, the forced ``cut`` and
 ``mandatory`` methods and the ``recognize`` command. The method labels
 ``cut_based``, ``mandatory_based`` and ``p4_structural`` are kept for
-report compatibility. One exact block search serves auto mode's
-fallback and the ``oracle`` and ``decomposition`` methods.
+report compatibility. The trusted oracle's block search serves auto
+mode's fallback and the ``oracle`` and ``decomposition`` methods.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LimitExceededError, MethodMismatchError, NotP4SparseError
-from .graph_core import (Graph, articulation_points, blocks, induced_subgraph,
-                         vertex_set)
+from .graph_core import Graph
 from .monitoring import Bounds, bounds, mandatory_vertices, require_meg_input
-from .oracle import _check_size, _search
+from .oracle import solve_by_cut_decomposition
 from .recognizers import (SEO, PruneSequence, StrongOrdering, _neighbor_ends,
                           _p4_stuck, recognize_bipartite_permutation,
                           recognize_distance_hereditary, recognize_p4_sparse,
@@ -120,45 +119,6 @@ def cut_vertices_via_strong_ordering(G: Graph, so: StrongOrdering) -> tuple[int,
             if not any(ends[w][0] < idx < ends[w][1] for w in G.adj[u]):
                 result.append(u)
     return tuple(sorted(result))
-
-
-def solve_by_cut_decomposition(G: Graph,
-                               oracle_limit: int | None = None) -> tuple[int, ...]:
-    """The trusted oracle's witness, a minimum MEG set, found one block
-    (biconnected component or bridge) at a time.
-
-    S is an MEG set iff, for every block B, B's cut vertices plus S inside
-    B monitor every edge of the induced subgraph G[B]: shortest paths
-    between vertices of B stay in B; a vertex beyond a cut vertex c of B
-    meets B through c, so c stands in for it; and each side hanging at c
-    holds a leaf block, whose own test needs a vertex of S there. Cut
-    vertices in S add nothing and each non-cut vertex lies in one block,
-    so the minimum MEG sets are the unions of one minimum X_B per block,
-    X_B a set of non-cut vertices of B. All of them contain M, so each
-    block's search forces ``base`` (B's cut vertices and M inside B) and
-    pools the rest of B; an empty pool costs no BFS, as B covers G[B].
-    Every pool is checked against ``oracle_limit`` before any search. The
-    union U of the first hits is the trusted oracle's witness: of two sets
-    of equal size, A comes first in combinations order iff min(A ^ B) is
-    in A, and for any other minimum V, min(U ^ V) lies in the pool of a
-    block where they differ, in that block's first hit
-    (``induced_subgraph`` keeps the order of ids).
-    """
-    require_meg_input(G)
-    forced = set(articulation_points(G)).union(mandatory_vertices(G))
-    searches = []
-    for block in blocks(G):
-        ids = vertex_set(block)
-        base = tuple(i for i, v in enumerate(ids) if v in forced)
-        pool = tuple(i for i, v in enumerate(ids) if v not in forced)
-        searches.append((ids, base, pool))
-    _check_size(max(len(pool) for _, _, pool in searches), oracle_limit)
-    found = set(mandatory_vertices(G))
-    for ids, base, pool in searches:
-        if pool:
-            _, hits = _search(induced_subgraph(G, ids), base, pool, 0)
-            found.update(ids[pool[p]] for p in next(hits)[1])
-    return vertex_set(found)
 
 
 def solve(G: Graph, method: str = "auto",

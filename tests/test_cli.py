@@ -396,6 +396,32 @@ def test_oracle_and_meg_past_the_vertex_limit(tmp_path, capsys,
     assert err == "error: brute-force oracle: size 30 exceeds limit 12\n"
 
 
+def test_trusted_oracle_checks_each_block_pool(tmp_path, capsys,
+                                              monkeypatch):
+    # Two C7s glued at a vertex pool 6 vertices per block, 12 in all, so a
+    # limit of 6 answers them with the report a limit of 12 gives; C13 is
+    # one block with a pool of 13.
+    glued = write(tmp_path, "glued.edges",
+                  "".join(f"a{i} a{(i + 1) % 7}\n" for i in range(7))
+                  + "".join(f"b{i} b{i + 1}\n" for i in range(1, 6))
+                  + "a0 b1\nb6 a0\n")
+    monkeypatch.setenv("MEGSOLVE_ORACLE_LIMIT", "12")
+    code, wide, err = run(capsys, "oracle", glued)
+    assert (code, err) == (0, "")
+    monkeypatch.setenv("MEGSOLVE_ORACLE_LIMIT", "6")
+    code, out, err = run(capsys, "oracle", glued)
+    assert (code, out, err) == (0, wide, "")
+    assert json.loads(out)["result"] == {
+        "meg": 4, "witness": ["a1", "a4", "b1", "b4"], "explored": 396,
+        "trustedBounds": True}
+    monkeypatch.delenv("MEGSOLVE_ORACLE_LIMIT")
+    c13 = write(tmp_path, "c13.edges",
+                "".join(f"v{i} v{(i + 1) % 13}\n" for i in range(13)))
+    code, out, err = run(capsys, "oracle", c13)
+    assert (code, out) == (5, "")
+    assert err == "error: brute-force oracle: size 13 exceeds limit 12\n"
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bad.edges", "a b\njust-one-token\n")
     code, _, err = run(capsys, "meg", path)
@@ -480,6 +506,28 @@ def test_bench_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(corpus), "--csv", str(target))
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[0].startswith("class,")
+
+
+def test_bench_checks_against_the_raw_oracle(tmp_path, capsys, monkeypatch):
+    # Auto mode falls back to the trusted oracle, so only the raw oracle
+    # is an independent check; C5 takes that fallback.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "c4.edges").write_text(C4)
+    (corpus / "c5.edges").write_text(C5)
+    trusts = []
+    oracle = cli.min_meg_bruteforce
+
+    def recording(G, trust_bounds=True, limit=None):
+        trusts.append(trust_bounds)
+        return oracle(G, trust_bounds, limit)
+
+    monkeypatch.setattr(cli, "min_meg_bruteforce", recording)
+    code, out, _ = run(capsys, "bench", str(corpus))
+    assert code == 0 and trusts == [False, False]
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[3:5] + row[6:] for row in rows[1:]] == [
+        ["cut_based", "4", "yes"], ["oracle", "3", "yes"]]
 
 
 def test_bench_keeps_going_past_unreadable_files(tmp_path, capsys):

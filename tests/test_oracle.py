@@ -1,15 +1,16 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from megsolve import (LimitExceededError, all_min_meg_sets, bounds,
-                      gen_random_connected, is_mandatory, is_meg_set,
-                      mandatory_bruteforce, mandatory_vertices,
-                      min_meg_bruteforce)
+from megsolve import (Graph, LimitExceededError, all_min_meg_sets, bounds,
+                      gen_random_connected, gen_strongly_chordal,
+                      is_mandatory, is_meg_set, mandatory_bruteforce,
+                      mandatory_vertices, min_meg_bruteforce)
 from megsolve import oracle
 from megsolve.graph_core import articulation_points
-from megsolve.oracle import _covering_subsets, _pack
+from megsolve.oracle import _covering_subsets, _pack, _rank
 
 from graphs_util import (all_connected_graphs, brute_all_min_meg,
                          brute_min_meg, complete_graph,
@@ -186,6 +187,43 @@ def test_search_matches_rescan_on_random_graphs():
         _assert_search_matches_rescan(gen_random_connected(n, m, seed))
 
 
+def test_rank_is_the_place_in_a_walk_by_size():
+    for n in range(7):
+        for first in range(n + 1):
+            walk = itertools.chain.from_iterable(
+                itertools.combinations(range(n), k)
+                for k in range(first, n + 1))
+            for place, picked in enumerate(walk, 1):
+                assert _rank(n, picked, first) == place
+
+
+def test_trusted_explored_is_counted_from_the_witness_rank():
+    # Trusted mode walks no whole-pool subsets, yet reports the count a
+    # walk over the pool would reach: every smaller pool subset plus the
+    # witness's rank among its own size. Two C7s glued at a vertex pool
+    # 12 vertices, 6 per block: every vertex but the cut vertex 0, so the
+    # witness's pool positions are its ids minus one.
+    G = Graph([f"a{i}" for i in range(7)] + [f"b{i}" for i in range(6)],
+              [(i, (i + 1) % 7) for i in range(7)]
+              + [(7 + i, 8 + i) for i in range(5)] + [(0, 7), (12, 0)])
+    res = min_meg_bruteforce(G, limit=6)
+    assert (res.meg, res.witness, res.trusted_bounds) == (
+        4, (1, 4, 7, 10), True)
+    assert res.explored == _rank(12, (0, 3, 6, 9), 0) == 396
+    assert min_meg_bruteforce(G, limit=12) == res
+
+
+def test_trusted_oracle_on_a_large_mandatory_set():
+    # Every vertex of this strongly chordal graph is mandatory, so every
+    # block's pool is empty and no block runs a search; a whole-graph
+    # search with M as its base took 23 s here, one BFS per vertex.
+    G = gen_strongly_chordal(1000, 1)
+    start = time.perf_counter()
+    res = min_meg_bruteforce(G)
+    assert time.perf_counter() - start < 2
+    assert (res.meg, res.explored, res.trusted_bounds) == (1000, 1, True)
+
+
 def test_trusted_search_counts_untested_small_subsets():
     # With fewer than two mandatory vertices, the pool combinations that
     # leave |S| < 2 are counted but not tested: on C5 (no mandatory vertex)
@@ -205,15 +243,14 @@ def test_trusted_search_counts_untested_small_subsets():
 def _combinations_covering(pair, seeds, acc0, size, full):
     """The kernel's contract, one subset at a time."""
     hits = []
-    subsets = itertools.combinations(range(len(pair)), size)
-    for rank, P in enumerate(subsets, 1):
+    for P in itertools.combinations(range(len(pair)), size):
         acc = acc0
         for i, p in enumerate(P):
             acc |= seeds[p]
             for q in P[i + 1:]:
                 acc |= pair[p][q]
         if acc == full:
-            hits.append((rank, P))
+            hits.append(P)
     return hits
 
 
@@ -263,7 +300,7 @@ def test_covering_subsets_matches_combinations():
                         got = list(_covering_subsets(packed, acc0, size))
                         assert got == want, (width, N, size, seeded)
                         hits += len(got)
-                        same_leaf += sum(a[1][:-1] == b[1][:-1]
+                        same_leaf += sum(a[:-1] == b[:-1]
                                          for a, b in zip(got, got[1:]))
                         if acc0 or any(seeds):
                             seeded_hits += len(got)
@@ -274,8 +311,9 @@ def test_covering_subsets_matches_combinations():
 def test_one_packing_per_search(monkeypatch):
     # Each search runs the one search once, and it packs once, however
     # many sizes it walks: raw search and all_min_meg_sets on K7 walk sizes
-    # 2 to 7 of the pool V, trusted search on C7 (no mandatory vertex)
-    # counts pool sizes 0 and 1 and tests sizes 2 and 3.
+    # 2 to 7 of the pool V, trusted search on C7 (no mandatory vertex,
+    # one block, searched on C7 itself) skips pool sizes 0 and 1 and tests
+    # sizes 2 and 3.
     searches, packs, sizes = [], [], []
     search, pack, walk = oracle._search, oracle._pack, oracle._covering_subsets
     monkeypatch.setattr(oracle, "_search",

@@ -22,7 +22,8 @@ from megsolve.recognizers import spider_by_degrees
 
 from graphs_util import (all_connected_graphs, complete_graph,
                          connected_graph_classes, cycle_graph, path_graph,
-                         random_connected_graph, star_graph, with_universal)
+                         random_connected_graph, rescan_min_meg, star_graph,
+                         with_universal)
 
 
 def domino():
@@ -416,12 +417,16 @@ def test_decomposition_is_minimal_on_the_seven_vertex_graph():
 
 
 def _assert_block_search_matches_oracle(G, limit=None):
-    """The block search's witness is the trusted oracle's and its size
-    the raw oracle's; every method that runs it agrees."""
-    trusted = min_meg_bruteforce(G, limit=limit)
+    """The block search's witness is the raw oracle's, the first minimum
+    MEG set in combinations order, and the trusted oracle reports it with
+    the rescan's count of the whole-pool walk; every method that runs it
+    agrees."""
     raw = min_meg_bruteforce(G, trust_bounds=False, limit=limit)
     witness = solve_by_cut_decomposition(G, oracle_limit=limit)
-    assert witness == trusted.witness and len(witness) == raw.meg
+    assert witness == raw.witness
+    trusted = min_meg_bruteforce(G, limit=limit)
+    assert (trusted.meg, trusted.witness, trusted.explored,
+            trusted.trusted_bounds) == rescan_min_meg(G)
     for method in ("oracle", "decomposition"):
         res = solve(G, method=method, oracle_limit=limit)
         assert (res.meg, res.witness, res.minimality_guaranteed) == (
@@ -447,8 +452,8 @@ def test_block_pools_are_checked_before_any_search(monkeypatch):
     # C13 has one block, pool 13. Two C7s glued at a vertex have a pool
     # of 6 in each block, 12 in all, so a limit of 6 still answers them.
     searched = []
-    search = megsolve.solvers._search
-    monkeypatch.setattr(megsolve.solvers, "_search",
+    search = oracle._search
+    monkeypatch.setattr(oracle, "_search",
                         lambda *a: searched.append(a[0].n) or search(*a))
     with pytest.raises(LimitExceededError,
                        match="size 13 exceeds limit 12$"):
@@ -601,14 +606,18 @@ def _c5_recursive_tree(n, seed):
 
 
 def test_auto_oracle_cost_on_a_large_mandatory_set():
-    # The whole-graph trusted search runs one BFS per mandatory vertex;
-    # the block search runs none outside the core, since every bridge's
-    # pool is empty.
+    # A whole-graph search with M as its base runs one BFS per mandatory
+    # vertex; the block search runs none outside the core, since every
+    # bridge's pool is empty. Both give the same witness.
     G = _c5_recursive_tree(1000, 1)
     res = solve(G)
     assert res.method == "oracle"
-    assert len(mandatory_vertices(G)) > 400
-    assert res.witness == min_meg_bruteforce(G).witness
+    man = mandatory_vertices(G)
+    assert len(man) > 400
+    pool = tuple(sorted(set(non_cut_vertices(G)).difference(man)))
+    hit = next(oracle._search(G, man, pool, 0))
+    whole = tuple(sorted(man + tuple(pool[p] for p in hit)))
+    assert res.witness == whole == min_meg_bruteforce(G).witness
     G = _c5_recursive_tree(5000, 1)
     start = time.perf_counter()
     res = solve(G)

@@ -4,14 +4,16 @@ BENCH file, one point of the benchmark trajectory.
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --out BENCH_<k>.json --seed 1 --pairs 3 --layer-pairs 1
+        --out BENCH_<k>.json --seed 1 --pairs 10 --layer-pairs 1
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
 for every workload of BENCHMARK.json, at its ``run_seconds``, once in each
 checkout, alternating which side goes first, and reads
 ``perfbench/out/result-W-sS-t0.json`` from that checkout. ``--layer-pairs``
-more pairs run with ``--trace 1`` for the per-layer metrics. Runs go one at
-a time, so the two sides never share the host. The harness itself is not
+more pairs run with ``--trace 1`` for the per-layer metrics. ``--pairs``
+defaults to 10, the fewest that resolve ``recognize``'s
+``latency_p50_ms`` and that a claimed gain's nine-of-ten rule reads.
+Runs go one at a time, so the two sides never share the host. The harness itself is not
 changed: each side runs its own ``perfbench/``.
 
 The output holds, per workload and side, every run's metrics, their
@@ -44,7 +46,7 @@ def parse_args(argv):
     p.add_argument("--change", required=True, help="change checkout")
     p.add_argument("--out", required=True, help="BENCH file to write")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--layer-pairs", type=int, default=1)
     args = p.parse_args(argv)
     if args.pairs < 1 or args.layer_pairs < 0:
