@@ -269,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive minimum MEG search")
     p.add_argument("path")
     p.add_argument("--trust-bounds", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="restrict the search between the sandwich bounds")
+                   default=True, help="search each block with its cut and "
+                   "mandatory vertices forced in; off: every vertex subset")
     add_common(p, cmd_oracle)
 
     p = sub.add_parser("gen", help="emit a generated instance as an edge list")

@@ -316,15 +316,18 @@ def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
         raise ValueError("induced subgraph needs a nonempty vertex set")
     if ids[0] < 0 or ids[-1] >= G.n:
         raise ValueError("vertex id out of range")
-    remap = {old: new for new, old in enumerate(ids)}
-    members_mask = sum(1 << u for u in ids)
-    # Each member reads only its neighbors inside the set, so a vertex in
-    # many small subgraphs (a cut vertex in many blocks) costs little in each.
-    masks = G.adj_masks
-    edges = [x for u in ids
-             for v in iter_bits(masks[u] & (members_mask >> (u + 1) << (u + 1)))
-             for x in (remap[u], remap[v])]
-    return _graph_from_ids({G.labels[i]: remap[i] for i in ids}, edges)
+    edges = [x for u, a in enumerate(induced_adjacency(G, ids))
+             for v in a if u < v for x in (u, v)]
+    return _graph_from_ids({G.labels[u]: i for i, u in enumerate(ids)}, edges)
+
+
+def induced_adjacency(G: Graph, ids: Sequence[int]) -> list[list[int]]:
+    """Ascending adjacency lists of the subgraph induced by the ascending
+    ``ids``, in local ids; each member reads only its neighbors inside the
+    set, so a cut vertex in many small blocks costs little in each."""
+    local = dict(zip(ids, range(len(ids))))
+    mask = sum(1 << u for u in ids)
+    return [[local[w] for w in iter_bits(G.adj_masks[v] & mask)] for v in ids]
 
 
 def complement(G: Graph) -> Graph:

@@ -140,23 +140,22 @@ def geodesic_edge_masks(G: Graph) -> tuple[tuple[int, ...], ...]:
     and for t unreachable from s. So ``masks[s][t] >> i & 1`` equals
     ``monitors(G, s, t, G.edges()[i])``.
     """
-    return tuple(map(tuple, geodesic_edge_rows(G, range(G.n))))
+    return tuple(map(tuple, geodesic_edge_rows(G.adj, range(G.n))))
 
 
-def geodesic_edge_rows(G: Graph, sources):
-    """Yields ``geodesic_edge_masks(G)[s]``, as a list, for each s in
-    ``sources`` in turn, each from its own BFS once the last one is read:
-    ``must[s] = 0`` and, further out, ``must[w]`` is the AND over the BFS
-    predecessors p of w of ``must[p] | bit(p, w)``, since every shortest
-    s-w path ends with one predecessor edge.
+def geodesic_edge_rows(adj, sources):
+    """Yields row s of ``geodesic_edge_masks`` of the graph with ascending
+    adjacency lists ``adj``, as a list, for each s in ``sources`` in turn,
+    each from its own BFS once the last one is read: ``must[s] = 0`` and,
+    further out, ``must[w]`` is the AND over the BFS predecessors p of w
+    of ``must[p] | bit(p, w)``: every shortest s-w path ends in one.
     """
-    adj = G.adj
-    edge_bit: list[dict[int, int]] = [{} for _ in range(G.n)]
-    for i, (u, v) in enumerate(G.edges()):
+    edge_bit: list[dict[int, int]] = [{} for _ in adj]
+    edges = ((u, v) for u, a in enumerate(adj) for v in a if u < v)
+    for i, (u, v) in enumerate(edges):
         edge_bit[u][v] = edge_bit[v][u] = 1 << i
     for s in sources:
-        dist = [-1] * G.n
-        must = [0] * G.n
+        dist, must = [-1] * len(adj), [0] * len(adj)
         dist[s] = 0
         queue = deque([s])
         while queue:

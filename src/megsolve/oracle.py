@@ -1,20 +1,20 @@
 """Exhaustive ground-truth computation of minimum MEG sets.
 
-One search, ``_search``, forces a base set in and enumerates subsets of a
-pool by increasing cardinality and, inside each cardinality, in
-lexicographic order, so the first hit is a canonical witness. Raw mode,
-``all_min_meg_sets`` and ``mandatory_bruteforce`` work on all of V, so
-the size limit bounds n. Trusted mode is the block search,
-``solve_by_cut_decomposition``, and the limit bounds each block's pool.
-Coverage comes from ``_pair_cover_masks``. The kernel,
-``_covering_subsets``, walks the subsets of one size, and subsets share
-the union of their common prefix. It is bit-sliced (``_pack`` and
-``_covering_subsets`` say how): one packed test covers every choice of
-the last position. Only prefixes with three or more positions left are
-stack frames; a frame's last three positions run inline, as two nested
-loops around that test. It tests every subset, prunes none, and yields
-hits in combinations order; ``explored`` is counted from the witness
-(``_rank``), not walked.
+One search, ``_search``, reads ascending adjacency lists, forces a base
+set in and enumerates subsets of a pool by increasing cardinality and,
+inside each cardinality, in lexicographic order, so the first hit is a
+canonical witness. Raw mode, ``all_min_meg_sets`` and
+``mandatory_bruteforce`` work on all of G, so the size limit bounds n.
+Trusted mode, ``solve_by_cut_decomposition``, searches each block's
+own lists (``induced_adjacency``), and the limit bounds each block's pool.
+The kernel, ``_covering_subsets``, walks the subsets of one size, and
+subsets share the union of their common prefix. It is bit-sliced
+(``_pack`` and ``_covering_subsets`` say how): one packed test covers
+every choice of the last position. Only prefixes with three or more
+positions left are stack frames; a frame's last three positions run
+inline, as two nested loops around that test. It tests every subset,
+prunes none, and yields hits in combinations order; ``explored`` is
+counted from the witness (``_rank``), not walked.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import LimitExceededError
-from .graph_core import (Graph, articulation_points, blocks, induced_subgraph,
-                         non_cut_vertices, vertex_set)
+from .graph_core import (Graph, articulation_points, blocks,
+                         induced_adjacency, non_cut_vertices, vertex_set)
 from .monitoring import (geodesic_edge_rows, is_meg_set, mandatory_vertices,
                          require_meg_input)
 
@@ -58,9 +58,9 @@ def _rank(n: int, picked, first: int) -> int:
         math.comb(n - 1 - c, k - i) for i, c in enumerate(picked))
 
 
-def _pair_cover_masks(G: Graph, base, pool):
-    """The edge masks the search reads, bit i standing for
-    ``G.edges()[i]``: (full coverage mask, ``acc0``, ``seeds``, ``pair``).
+def _pair_cover_masks(adj, base, pool):
+    """The edge masks the search reads over adjacency lists ``adj``, bits
+    as in ``geodesic_edge_rows``: (full mask, ``acc0``, ``seeds``, ``pair``).
     ``acc0`` holds the edges that pairs of ``base`` monitor, ``seeds[i]``
     those that ``pool[i]`` monitors with some base vertex, and
     ``pair[i][j]`` those that ``pool[i]`` and ``pool[j]`` monitor.
@@ -69,7 +69,7 @@ def _pair_cover_masks(G: Graph, base, pool):
     pool, each row dropped once read.
     """
     acc0, seeds, pair = 0, [], []
-    for i, row in enumerate(geodesic_edge_rows(G, (*base, *pool))):
+    for i, row in enumerate(geodesic_edge_rows(adj, (*base, *pool))):
         with_base = 0
         for b in base:
             with_base |= row[b]
@@ -78,7 +78,7 @@ def _pair_cover_masks(G: Graph, base, pool):
         else:
             seeds.append(with_base)
             pair.append([row[v] for v in pool])
-    return (1 << G.m) - 1, acc0, seeds, pair
+    return (1 << sum(map(len, adj)) // 2) - 1, acc0, seeds, pair
 
 
 def _pack(pair, seeds, full: int):
@@ -192,20 +192,19 @@ def _covering_subsets(packed, acc0: int, size: int):
                     hits ^= low
 
 
-def _search(G: Graph, base: tuple[int, ...], pool, first: int):
-    """The one search: ``base`` plus ``extra`` vertices of ``pool``, for
-    ``extra`` from ``first`` on, packed once. Returns the
+def _search(adj, base: tuple[int, ...], pool):
+    """The one search, over adjacency lists ``adj``: ``base`` plus ``extra``
+    vertices of ``pool``, by increasing ``extra``, packed once. Returns the
     ``_covering_subsets`` hits (positions in ``pool``) of the least
     ``extra`` that has any; sizes that leave |S| < 2 are not tested.
     """
-    full, acc0, seeds, pair = _pair_cover_masks(G, base, pool)
+    full, acc0, seeds, pair = _pair_cover_masks(adj, base, pool)
     packed = _pack(pair, seeds, full)
-    for extra in range(first, len(pool) + 1):
-        if len(base) + extra >= 2:
-            hits = _covering_subsets(packed, acc0, extra)
-            hit = next(hits, None)
-            if hit is not None:
-                return chain((hit,), hits)
+    for extra in range(max(0, 2 - len(base)), len(pool) + 1):
+        hits = _covering_subsets(packed, acc0, extra)
+        hit = next(hits, None)
+        if hit is not None:
+            return chain((hit,), hits)
     raise AssertionError("base and pool together must form an MEG set")
 
 
@@ -226,8 +225,7 @@ def solve_by_cut_decomposition(G: Graph,
     against ``oracle_limit`` before any search. Of two sets of equal size,
     A comes first iff min(A ^ B) is in A; for the union U of the first
     hits and any other minimum V, min(U ^ V) lies in the pool of a block
-    where they differ, so in its first hit (``induced_subgraph`` keeps the
-    order of ids). A block that is all of G is searched on G itself.
+    where they differ, so in its first hit (local ids keep G's order).
     """
     require_meg_input(G)
     forced = set(articulation_points(G)).union(mandatory_vertices(G))
@@ -238,8 +236,8 @@ def solve_by_cut_decomposition(G: Graph,
     found = set(mandatory_vertices(G))
     for ids, base, pool in searches:
         if pool:
-            H = G if len(ids) == G.n else induced_subgraph(G, ids)
-            found.update(ids[pool[p]] for p in next(_search(H, base, pool, 0)))
+            hits = next(_search(induced_adjacency(G, ids), base, pool))
+            found.update(ids[pool[p]] for p in hits)
     return vertex_set(found)
 
 
@@ -261,7 +259,7 @@ def min_meg_bruteforce(G: Graph, trust_bounds: bool = True,
     else:
         _check_size(G.n, limit)
         M, pool, first = (), range(G.n), 2
-        S = next(_search(G, M, pool, first))
+        S = next(_search(G.adj, M, pool))
     pos = [bisect_left(pool, v) for v in S if v not in M]
     return OracleResult(len(S), S, _rank(len(pool), pos, first), trust_bounds)
 
@@ -288,4 +286,4 @@ def all_min_meg_sets(G: Graph, limit: int | None = None) -> list[tuple[int, ...]
     """
     require_meg_input(G)
     _check_size(G.n, limit)
-    return list(_search(G, (), range(G.n), 2))
+    return list(_search(G.adj, (), range(G.n)))

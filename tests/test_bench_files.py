@@ -75,37 +75,55 @@ def _bench_pairs():
 def test_verdict_table_on_synthetic_runs():
     # Ten pairs of one workload. The change wins ops_per_s in nine (pair 3
     # loses), ties latency_p50_ms in every pair, and raises peak_rss_mb by
-    # 15% against its 0.1 bound; setup_s wins in all ten by a hair.
+    # 15% against its 0.1 bound; setup_s wins in all ten by a hair. The
+    # parent's latency_p90_ms and latency_geomean_ms runs spread over
+    # 2.0-2.9, 37% of their median: p90 is unresolved, since the change's
+    # 2.2 is not better than every parent run, and geomean is not, since
+    # its 1.5 is.
     bench_pairs = _bench_pairs()
     spec = {"end_to_end": [
         {"name": "ops_per_s", "better": "higher", "bound": 0.25},
         {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
-        {"name": "setup_s", "better": "lower", "bound": 0.25}]}
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "latency_p90_ms", "better": "lower", "bound": 0.25},
+        {"name": "latency_geomean_ms", "better": "lower", "bound": 0.25}]}
     runs = []
     for pair in range(10):
         runs.append({"pair": pair, "side": "parent", "trace": 0, "metrics": {
             "ops_per_s": 100.0 + pair, "latency_p50_ms": 2.0,
-            "peak_rss_mb": 20.0, "setup_s": 0.5}})
+            "peak_rss_mb": 20.0, "setup_s": 0.5,
+            "latency_p90_ms": 2.0 + pair / 10,
+            "latency_geomean_ms": 2.0 + pair / 10}})
         runs.append({"pair": pair, "side": "change", "trace": 0, "metrics": {
             "ops_per_s": 90.0 if pair == 3 else 120.0 + pair,
-            "latency_p50_ms": 2.0, "peak_rss_mb": 23.0, "setup_s": 0.499}})
+            "latency_p50_ms": 2.0, "peak_rss_mb": 23.0, "setup_s": 0.499,
+            "latency_p90_ms": 2.2, "latency_geomean_ms": 1.5}})
     # A traced pair is not an end-to-end sample and counts for neither.
     for side in SIDES:
         runs.append({"pair": 10, "side": side, "trace": 1, "metrics": {}})
     sides = {side: {"end_to_end": bench_pairs.summarize(
-        [r for r in runs if r["side"] == side and r["trace"] == 0])}
+        [r for r in runs if r["side"] == side and r["trace"] == 0]),
+        "fingerprint": "f", "report_digest": side}
         for side in SIDES}
     doc = {"workloads": {"oracle": {"sides": sides, "runs": runs}}}
     lines = bench_pairs.verdict_table(doc, spec).splitlines()
     assert lines[0].split() == ["workload", "metric", "parent", "change",
-                                "parent_iqr", "wins", "over_bound"]
-    rows = {cols[1]: cols for cols in map(str.split, lines[1:])}
+                                "parent_iqr", "spread", "wins", "over_bound",
+                                "unresolved"]
+    rows = {cols[1]: cols for cols in map(str.split, lines[1:-1])}
     assert list(rows) == [m["name"] for m in spec["end_to_end"]]
     assert rows["ops_per_s"] == ["oracle", "ops_per_s", "104.5000",
-                                 "124.5000", "4.5000", "9/10", "no"]
+                                 "124.5000", "4.5000", "0.0861", "9/10", "no",
+                                 "no"]
     assert rows["latency_p50_ms"][2:] == ["2.0000", "2.0000", "0.0000",
-                                          "0/10", "no"]
+                                          "0.0000", "0/10", "no", "no"]
     assert rows["peak_rss_mb"][2:] == ["20.0000", "23.0000", "0.0000",
-                                       "0/10", "yes"]
-    assert rows["setup_s"][5:] == ["10/10", "no"]
+                                       "0.0000", "0/10", "yes", "no"]
+    assert rows["setup_s"][6:] == ["10/10", "no", "no"]
+    assert rows["latency_p90_ms"][2:] == ["2.4500", "2.2000", "0.4500",
+                                          "0.3673", "7/10", "no", "yes"]
+    assert rows["latency_geomean_ms"][5:] == ["0.3673", "10/10", "no", "no"]
+    # The sides share the fingerprint and differ in report digest.
+    assert lines[-1].split() == ["oracle", "fingerprints", "equal,",
+                                 "report", "digests", "differ"]

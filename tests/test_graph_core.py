@@ -221,6 +221,8 @@ def test_induced_subgraph_keeps_labels():
             H = induced_subgraph(G, members)
             ref = scan_induced_subgraph(G, members)
             assert H == ref and H.edges() == ref.edges()
+            assert (graph_core.induced_adjacency(G, vertex_set(members))
+                    == list(map(list, ref.adj)))
 
 
 def test_complement_and_co_components():

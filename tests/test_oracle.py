@@ -8,10 +8,13 @@ from megsolve import (Graph, LimitExceededError, all_min_meg_sets, bounds,
                       gen_random_connected, gen_strongly_chordal,
                       is_mandatory, is_meg_set, mandatory_bruteforce,
                       mandatory_vertices, min_meg_bruteforce)
-from megsolve import oracle
-from megsolve.graph_core import articulation_points
+from megsolve import build_graph, geodesic_edge_masks, oracle
+from megsolve.graph_core import (articulation_points, blocks,
+                                 induced_subgraph, vertex_set)
+from megsolve.monitoring import geodesic_edge_rows
 from megsolve.oracle import _covering_subsets, _pack, _rank
 
+from battery import flower
 from graphs_util import (all_connected_graphs, brute_all_min_meg,
                          brute_min_meg, complete_graph,
                          connected_graph_classes, cycle_graph, path_graph,
@@ -312,29 +315,69 @@ def test_one_packing_per_search(monkeypatch):
     # Each search runs the one search once, and it packs once, however
     # many sizes it walks: raw search and all_min_meg_sets on K7 walk sizes
     # 2 to 7 of the pool V, trusted search on C7 (no mandatory vertex,
-    # one block, searched on C7 itself) skips pool sizes 0 and 1 and tests
-    # sizes 2 and 3.
+    # one block) skips pool sizes 0 and 1 and tests sizes 2 and 3. Each
+    # reads the graph's own adjacency lists.
     searches, packs, sizes = [], [], []
     search, pack, walk = oracle._search, oracle._pack, oracle._covering_subsets
     monkeypatch.setattr(oracle, "_search",
-                        lambda *a: searches.append(a[1:]) or search(*a))
+                        lambda *a: searches.append(a) or search(*a))
     monkeypatch.setattr(oracle, "_pack",
                         lambda *a: packs.append(a) or pack(*a))
     monkeypatch.setattr(oracle, "_covering_subsets",
                         lambda *a: sizes.append(a[-1]) or walk(*a))
     for run, G, called, walked in (
             (lambda G: min_meg_bruteforce(G, trust_bounds=False),
-             complete_graph(7), ((), range(7), 2), [2, 3, 4, 5, 6, 7]),
+             complete_graph(7), ((), range(7)), [2, 3, 4, 5, 6, 7]),
             (min_meg_bruteforce, cycle_graph(7),
-             ((), tuple(range(7)), 0), [2, 3]),
-            (all_min_meg_sets, complete_graph(7), ((), range(7), 2),
+             ((), tuple(range(7))), [2, 3]),
+            (all_min_meg_sets, complete_graph(7), ((), range(7)),
              [2, 3, 4, 5, 6, 7])):
         searches.clear()
         packs.clear()
         sizes.clear()
         run(G)
-        assert searches == [called]
+        assert [(list(map(tuple, adj)), *rest) for adj, *rest in searches] \
+            == [(list(G.adj), *called)]
         assert len(packs) == 1 and sizes == walked
+
+
+def test_block_search_reads_the_induced_subgraphs_lists(monkeypatch):
+    # On every block B, geodesic_edge_rows over B's local adjacency lists
+    # (local ids in G's order) numbers the edges as geodesic_edge_masks of
+    # the induced subgraph does, and the block search passes those lists
+    # for each block it searches (the flower's center lies in four).
+    seen = []
+    search = oracle._search
+    monkeypatch.setattr(oracle, "_search",
+                        lambda adj, *a: seen.append(adj) or search(adj, *a))
+    graphs = [G for n in range(2, 7) for G in connected_graph_classes(n)]
+    for G in graphs + [flower(4, 5)]:
+        forced = set(articulation_points(G)).union(mandatory_vertices(G))
+        seen.clear()
+        oracle.solve_by_cut_decomposition(G, G.n)
+        for ids in map(vertex_set, blocks(G)):
+            H = induced_subgraph(G, ids)
+            adj = [tuple(ids.index(w) for w in G.adj[v] if w in ids)
+                   for v in ids]
+            assert (list(map(tuple, geodesic_edge_rows(adj, range(H.n))))
+                    == list(geodesic_edge_masks(H)))
+            if not forced.issuperset(ids):
+                assert list(map(tuple, seen.pop(0))) == adj
+        assert seen == []
+
+
+def test_block_search_builds_no_graph(monkeypatch):
+    # Two C7s glued at a vertex: each block's search reads lists built in
+    # place, where a copied subgraph per block would fill two graphs.
+    G = build_graph([(f"a{i}", f"a{(i + 1) % 7}") for i in range(7)]
+                    + [(f"b{i}", f"b{i + 1}") for i in range(1, 6)]
+                    + [("a0", "b1"), ("b6", "a0")])
+    fills = []
+    fill = Graph._fill
+    monkeypatch.setattr(Graph, "_fill",
+                        lambda self, *a: fills.append(a) or fill(self, *a))
+    assert len(oracle.solve_by_cut_decomposition(G)) == 4
+    assert fills == []
 
 
 # (meg, witness, explored) in trusted and raw mode, recorded from earlier

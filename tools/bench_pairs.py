@@ -19,7 +19,9 @@ changed: each side runs its own ``perfbench/``.
 The output holds, per workload and side, every run's metrics, their
 median and quartiles, and the seed, corpus fingerprint, ``report_digest``
 and commit of the side. After writing it, the script prints a verdict
-table, one row per workload and end-to-end metric (``verdict_table``). A side's commit is ``git rev-parse HEAD`` of its
+table (``verdict_table``): one row per workload and end-to-end metric,
+and per workload one line saying whether the two sides' fingerprints and
+report digests match. A side's commit is ``git rev-parse HEAD`` of its
 checkout; ``dirty`` says whether ``src/`` differs from that commit, and
 ``src_sha256`` identifies the source that ran either way.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -144,13 +147,18 @@ def bench_workload(args, roots: dict, workload: str, seconds: float) -> dict:
 
 def verdict_table(doc: dict, spec: dict) -> str:
     """Per workload and end-to-end metric of ``spec``: the parent and
-    change medians, the parent's quartile spread (q3 - q1), the pairs the
-    change wins in the direction of ``better`` (ties win for neither), and
-    whether the change's median is worse than the parent's by more than
-    ``bound``, a share of the parent's median.
+    change medians, the parent's quartile spread (q3 - q1), its
+    ``spread`` (max - min of its runs, a share of its median), the pairs
+    the change wins in the direction of ``better`` (ties win for
+    neither), whether the change's median is worse than the parent's by
+    more than ``bound``, a share of the parent's median, and whether the
+    metric is ``unresolved``: spread over ``bound`` while some change run
+    is not better than every parent run. Each workload ends with a line
+    saying whether the two sides' fingerprints and report digests match.
     """
     lines = [f"{'workload':10s} {'metric':20s} {'parent':>12s} "
-             f"{'change':>12s} {'parent_iqr':>12s} {'wins':>6s} over_bound"]
+             f"{'change':>12s} {'parent_iqr':>12s} {'spread':>8s} "
+             f"{'wins':>6s} over_bound unresolved"]
     for w, entry in doc["workloads"].items():
         sides = entry["sides"]
         for metric in spec["end_to_end"]:
@@ -168,10 +176,23 @@ def verdict_table(doc: dict, spec: dict) -> str:
                        for p in pairs.values())
             over = (sign * (parent["median"] - change)
                     > metric["bound"] * abs(parent["median"]))
+            runs = [p["parent"] for p in pairs.values()]
+            spread = max(runs) - min(runs)
+            if spread:
+                spread = (spread / abs(parent["median"]) if parent["median"]
+                          else math.inf)
+            unresolved = spread > metric["bound"] and not all(
+                sign * (p["change"] - q) > 0
+                for p in pairs.values() for q in runs)
             lines.append(f"{w:10s} {name:20s} {parent['median']:12.4f} "
                          f"{change:12.4f} {parent['q3'] - parent['q1']:12.4f} "
-                         f"{f'{wins}/{len(pairs)}':>6s} "
-                         f"{'yes' if over else 'no'}")
+                         f"{spread:8.4f} {f'{wins}/{len(pairs)}':>6s} "
+                         f"{'yes' if over else 'no':10s} "
+                         f"{'yes' if unresolved else 'no'}")
+        same = ["equal" if sides["parent"][key] == sides["change"][key]
+                else "differ" for key in ("fingerprint", "report_digest")]
+        lines.append(f"{w:10s} fingerprints {same[0]}, report digests "
+                     f"{same[1]}")
     return "\n".join(lines)
 
 
