@@ -241,7 +241,8 @@ def connected_components(G: Graph) -> list[tuple[int, ...]]:
 
 def articulation_points(G: Graph) -> tuple[int, ...]:
     """Cut vertices via iterative DFS low-link. The same DFS records the
-    blocks for ``blocks``, and both are cached on the graph together."""
+    blocks for ``blocks`` and the block of each vertex's tree edge for
+    ``block_edges``, and all three are cached on the graph together."""
     if G._articulation is not None:
         return G._articulation[0]
     n = G.n
@@ -252,6 +253,7 @@ def articulation_points(G: Graph) -> tuple[int, ...]:
     closes = [0] * n  # blocks closed at each vertex
     trail: list[int] = []
     at = [0] * n  # trail position of each vertex
+    owner = [-1] * n  # the block of each vertex's tree edge
     found: list[tuple[int, ...]] = []
     timer = 0
     for root in range(n):
@@ -284,14 +286,18 @@ def articulation_points(G: Graph) -> tuple[int, ...]:
                     if low[v] >= disc[u]:
                         # A block closes at u: u plus the trail from v on,
                         # which is v's subtree minus the blocks closed in it.
+                        # Each trail vertex's tree edge lies in this block.
                         closes[u] += 1
-                        found.append((*trail[at[v]:], u))
+                        block = trail[at[v]:]
+                        for x in block:
+                            owner[x] = len(found)
+                        found.append((*block, u))
                         del trail[at[v]:]
     # Every child of a DFS root closes a block at it, so a root is a cut
     # vertex when two blocks close there; any other vertex when one does.
     result = tuple(v for v in range(n)
                    if closes[v] >= (2 if parent[v] == -1 else 1))
-    G._articulation = (result, tuple(found))
+    G._articulation = (result, tuple(found), owner)
     return result
 
 
@@ -300,6 +306,45 @@ def blocks(G: Graph) -> tuple[tuple[int, ...], ...]:
     tuples, unsorted; every edge lies in exactly one block."""
     articulation_points(G)
     return G._articulation[1]
+
+
+def block_edges(G: Graph) -> list[list[tuple[int, int]]]:
+    """The edges (u, v), u < v, of each block, in the order of ``blocks``,
+    from one pass over G's lists: O(n + m) for all blocks together.
+
+    Each vertex but a DFS root has its tree edge in one block, its owner;
+    a block owns all its vertices but the last, where it closed. Both
+    ends of an edge lie in its block and at most one is that block's
+    last vertex, so edge uv lies in v's owner when u is that owner's
+    last vertex, and in u's owner otherwise.
+    """
+    articulation_points(G)
+    _, found, owner = G._articulation
+    edges: list[list[tuple[int, int]]] = [[] for _ in found]
+    for u, a in enumerate(G.adj):
+        for v in a:
+            if u < v:
+                b = owner[v]
+                if b < 0 or found[b][-1] != u:
+                    b = owner[u]
+                edges[b].append((u, v))
+    return edges
+
+
+def local_adjacency(ids: Sequence[int],
+                    edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Ascending adjacency lists of the graph on the ascending ``ids``
+    with ``edges``, in local ids (positions in ``ids``). With a block's
+    ``block_edges`` this costs O(k + edges of the block) steps plus
+    sorting each list, however large the graph around it."""
+    local = dict(zip(ids, range(len(ids))))
+    adj: list[list[int]] = [[] for _ in ids]
+    for u, v in edges:
+        adj[local[u]].append(local[v])
+        adj[local[v]].append(local[u])
+    for a in adj:
+        a.sort()
+    return adj
 
 
 def non_cut_vertices(G: Graph) -> tuple[int, ...]:
@@ -323,8 +368,9 @@ def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
 
 def induced_adjacency(G: Graph, ids: Sequence[int]) -> list[list[int]]:
     """Ascending adjacency lists of the subgraph induced by the ascending
-    ``ids``, in local ids; each member reads only its neighbors inside the
-    set, so a cut vertex in many small blocks costs little in each."""
+    ``ids``, in local ids. Each member ANDs its n-bit adjacency mask with
+    the set's, O(k·n/64) words for k members; a block search reads
+    ``local_adjacency`` of ``block_edges`` instead."""
     local = dict(zip(ids, range(len(ids))))
     mask = sum(1 << u for u in ids)
     return [[local[w] for w in iter_bits(G.adj_masks[v] & mask)] for v in ids]

@@ -176,18 +176,27 @@ def geodesic_edge_rows(adj, sources):
 def is_meg_set(G: Graph, members) -> MegSetCheck:
     """Check whether ``members`` monitors every edge of G.
 
-    Iterates edges in sorted order; for each edge, deletion distances are
-    computed from each member once, with early exit on the first
-    monitoring pair. On failure the first uncovered edge is reported.
+    Iterates edges in sorted order; for each edge, a deletion BFS runs
+    from each member in turn, with early exit on the first monitoring
+    pair. On failure the first uncovered edge is reported.
 
-    Two rules keep the work to what a deletion can change:
+    Three rules keep the work to what a deletion can change:
 
     - An edge uv with u, v both in S is skipped: the edge itself is the
       only shortest u-v path, so deleting it raises d(u, v) and the pair
       (u, v) monitors it.
     - Base distances come from one BFS per member of S, not from all n
       vertices, since only distances between members enter the test; and
-      each member a is compared only with the members after it.
+      each member a is compared only with the members after it, so no
+      deletion BFS runs from the last member.
+    - Each deletion BFS from a stops as soon as its answer is known.
+      BFS settles vertices in distance order, so a vertex's distance is
+      final when the BFS first reaches it, and a deletion never shortens
+      a distance, so each later member is found at its base distance or
+      farther. So the BFS answers "covered" at the first later member
+      found farther than its base distance; "not by a" once every later
+      member is found at its base distance; and "covered" if its queue
+      empties first, since the deletion then cut a later member off.
 
     Every skipped edge is covered, so the first uncovered edge in
     ``G.edges()`` order is never a skipped one; every other edge gets the
@@ -198,24 +207,45 @@ def is_meg_set(G: Graph, members) -> MegSetCheck:
     S = vertex_set(members)
     if S and (S[0] < 0 or S[-1] >= G.n):
         raise ValueError("vertex id out of range")
-    inside = set(S)
+    rank = [-1] * G.n
+    for i, a in enumerate(S):
+        rank[a] = i
     base = [bfs_distances(G, a) for a in S]
+    # (a, a's base row, the number of members after a), but the last a
+    sources = list(zip(S[:-1], base, range(len(S) - 1, 0, -1)))
     for u, v in G.edges():
-        if u in inside and v in inside:
+        if rank[u] >= 0 and rank[v] >= 0:
             continue
-        covered = False
-        for i, a in enumerate(S):
-            row = bfs_distances(G, a, skip_edge=(u, v))
-            base_a = base[i]
-            for b in S[i + 1:]:
-                if row[b] > base_a[b]:
-                    covered = True
-                    break
-            if covered:
-                break
-        if not covered:
+        if not any(_moves_a_later_member(G.adj, a, base_a, rank, left, u, v)
+                   for a, base_a, left in sources):
             return MegSetCheck(False, (u, v))
     return MegSetCheck(True, None)
+
+
+def _moves_a_later_member(adj, a, base_a, rank, left: int,
+                          u: int, v: int) -> bool:
+    """Whether deleting the edge uv raises d(a, b) above ``base_a[b]`` for
+    some member b after a, by a BFS from a that never crosses uv and
+    stops as ``is_meg_set`` says: ``rank[w]`` is w's position in S (-1
+    outside it), and ``left`` counts the members after a."""
+    i = rank[a]
+    dist = [-1] * len(adj)
+    dist[a] = 0
+    queue = [a]
+    for p in queue:  # a FIFO queue: the loop reads what it appends
+        d = dist[p] + 1
+        for w in adj[p]:
+            if dist[w] >= 0 or p == u and w == v or p == v and w == u:
+                continue
+            dist[w] = d
+            if rank[w] > i:
+                if d > base_a[w]:
+                    return True
+                left -= 1
+                if not left:
+                    return False
+            queue.append(w)
+    return True
 
 
 def _covered(adj, masks: tuple[int, ...], u: int) -> int:

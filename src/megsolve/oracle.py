@@ -6,7 +6,8 @@ inside each cardinality, in lexicographic order, so the first hit is a
 canonical witness. Raw mode, ``all_min_meg_sets`` and
 ``mandatory_bruteforce`` work on all of G, so the size limit bounds n.
 Trusted mode, ``solve_by_cut_decomposition``, searches each block's
-own lists (``induced_adjacency``), and the limit bounds each block's pool.
+own lists (``local_adjacency`` of its ``block_edges``), and the limit
+bounds each block's pool.
 The kernel, ``_covering_subsets``, walks the subsets of one size, and
 subsets share the union of their common prefix. It is bit-sliced
 (``_pack`` and ``_covering_subsets`` say how): one packed test covers
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import LimitExceededError
-from .graph_core import (Graph, articulation_points, blocks,
-                         induced_adjacency, non_cut_vertices, vertex_set)
+from .graph_core import (Graph, articulation_points, block_edges, blocks,
+                         local_adjacency, non_cut_vertices, vertex_set)
 from .monitoring import (geodesic_edge_rows, is_meg_set, mandatory_vertices,
                          require_meg_input)
 
@@ -234,10 +235,11 @@ def solve_by_cut_decomposition(G: Graph,
                 for ids in map(vertex_set, blocks(G))]
     _check_size(max(len(pool) for _, _, pool in searches), oracle_limit)
     found = set(mandatory_vertices(G))
-    for ids, base, pool in searches:
-        if pool:
-            hits = next(_search(induced_adjacency(G, ids), base, pool))
-            found.update(ids[pool[p]] for p in hits)
+    if any(pool for _, _, pool in searches):  # else no block is searched
+        for (ids, base, pool), edges in zip(searches, block_edges(G)):
+            if pool:
+                hits = next(_search(local_adjacency(ids, edges), base, pool))
+                found.update(ids[pool[p]] for p in hits)
     return vertex_set(found)
 
 

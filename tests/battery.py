@@ -1,8 +1,12 @@
 """A fixed report battery: every command form on a fixed set of inputs.
 
 Each line of the table is one input: its key, then ``exit:digest`` for
-each form of ``FORMS``, where digest is the first 12 hex digits of the
-sha256 of the form's stdout and stderr. Forms run in process through
+each form of ``FORMS`` and of ``VERIFY_FORMS``, where digest is the first
+12 hex digits of the sha256 of the form's stdout and stderr. The verify
+forms check two vertex sets of each graph with at most ``VERIFY_MAX_N``
+vertices, its mandatory vertices and its non-cut vertices minus the
+lowest; an odd input or a one-vertex graph checks the empty set, and a
+larger graph has ``-`` there. Forms run in process through
 ``cli.main`` on a file named ``graph.edges`` in the working directory, so
 no temporary path reaches a report, and with ``MEGSOLVE_ORACLE_LIMIT``
 unset. ``tests/test_battery.py`` regenerates the table and compares it
@@ -28,7 +32,9 @@ from megsolve import cli
 from megsolve.generators import (gen_bipartite_permutation,
                                  gen_distance_hereditary, gen_p4_sparse,
                                  gen_random_connected, gen_strongly_chordal)
-from megsolve.graph_core import Graph, build_graph, format_edge_list
+from megsolve.graph_core import (Graph, build_graph, format_edge_list,
+                                 non_cut_vertices)
+from megsolve.monitoring import mandatory_vertices
 
 from graphs_util import connected_graph_classes
 
@@ -45,6 +51,9 @@ FORMS = (
     ("cut",),
     ("mandatory",),
 )
+VERIFY_FORMS = ("verify --set mandatory", "verify --set non-cut minus lowest")
+# Verify on DH graphs with n = 200 takes seconds per input.
+VERIFY_MAX_N = 60
 # The rows of tests/test_solvers.py's _POOL_REACH: random graphs whose
 # oracle pool is near the limit.
 POOL_REACH = ((30, 36), (60, 66), (60, 72), (60, 78), (200, 220))
@@ -100,13 +109,26 @@ def flower(petals: int, k: int) -> Graph:
     return build_graph(edges)
 
 
+def many_block_inputs():
+    """The battery's (key, graph) pairs built to have many blocks: glued
+    graphs, cycle chains and flowers."""
+    rng = random.Random(26)
+    for s in range(40):
+        pieces = [rng.randrange(3, 8) for _ in range(rng.randrange(2, 5))]
+        yield f"glued-{s:02d}", glued(pieces, s)
+    yield "cycles-c6x40", cycle_chain([6] * 40)
+    yield "cycles-c4c5c7x12", cycle_chain([4, 5, 7] * 12)
+    yield "flower-c5x20", flower(20, 5)
+    yield "flower-c7x6", flower(6, 7)
+
+
 def inputs():
     """Every (key, graph or file bytes) of the battery, in table order."""
     for n in range(1, 8):
         for i, G in enumerate(connected_graph_classes(n)):
             yield f"class-n{n}-{i:03d}", G
     for n in (12, 60, 200):
-        for s in (1, 2, 3):
+        for s in (1, 2, 3, 4, 5):
             yield f"dh-n{n}-s{s}", gen_distance_hereditary(n, s)
             yield f"p4sparse-n{n}-s{s}", gen_p4_sparse(n, s)
             yield (f"bipperm-n{n}-s{s}",
@@ -121,14 +143,8 @@ def inputs():
     for n, m in POOL_REACH:
         for s in range(1, 11):
             yield f"reach-n{n}-m{m}-s{s}", gen_random_connected(n, m, s)
-    rng = random.Random(26)
-    for s in range(40):
-        pieces = [rng.randrange(3, 8) for _ in range(rng.randrange(2, 5))]
-        yield f"glued-{s:02d}", glued(pieces, s)
-    yield "cycles-c6x40", cycle_chain([6] * 40)
-    yield "cycles-c4c5c7x12", cycle_chain([4, 5, 7] * 12)
-    yield "flower-c5x20", flower(20, 5)
-    yield "flower-c7x6", flower(6, 7)
+    yield from many_block_inputs()
+    yield "path-n2000", build_graph((i, i + 1) for i in range(1999))
     for key, data in ODD_INPUTS:
         yield f"odd-{key}", data
 
@@ -142,15 +158,34 @@ def run(form) -> str:
     return f"{code}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
 
+def verify_sets(data) -> tuple[str, ...] | None:
+    """The ``--set`` values of the verify forms on one input, or None."""
+    if not isinstance(data, Graph):
+        return "", ""
+    if data.n > VERIFY_MAX_N:
+        return None
+    if data.n < 2:
+        return "", ""
+    sets = mandatory_vertices(data), non_cut_vertices(data)[1:]
+    return tuple(",".join(data.labels_of(ids)) for ids in sets)
+
+
 def table() -> str:
     """The battery's table, run in the working directory."""
-    lines = ["\t".join(["input", *(" ".join(f) for f in FORMS)])]
+    header = [" ".join(f) for f in FORMS] + list(VERIFY_FORMS)
+    lines = ["\t".join(["input", *header])]
     for key, data in inputs():
+        sets = verify_sets(data)
         if isinstance(data, Graph):
             data = format_edge_list(data).encode()
         with open(PATH, "wb") as fh:
             fh.write(data)
-        lines.append("\t".join([key, *map(run, FORMS)]))
+        cells = list(map(run, FORMS))
+        if sets is None:
+            cells += ["-"] * len(VERIFY_FORMS)
+        else:
+            cells += [run(("verify", "--set", s)) for s in sets]
+        lines.append("\t".join([key, *cells]))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,10 @@ from megsolve import (EdgeListParseError, Graph, INF, SelfLoopError,
                       induced_subgraph, is_connected, parse_edge_list,
                       spider_graph, vertex_set)
 from megsolve import graph_core
-from megsolve.graph_core import blocks, iter_bits
+from megsolve.graph_core import (block_edges, blocks, iter_bits,
+                                 local_adjacency)
+
+import battery
 
 from graphs_util import (all_connected_graphs, brute_articulation,
                          complete_graph, connected_graph_classes,
@@ -158,6 +161,12 @@ def _assert_blocks_partition_edges(G):
     inside = sorted((u, v) for b in found for u in b for v in b
                     if u < v and G.has_edge(u, v))
     assert inside == G.edges()
+    # block_edges lists the same edges, each once, under its block
+    edges = block_edges(G)
+    assert len(edges) == len(found)
+    assert [sorted(es) for es in edges] == [
+        sorted((u, v) for u in b for v in b if u < v and G.has_edge(u, v))
+        for b in found]
     for b in found:
         H = induced_subgraph(G, b)
         assert is_connected(H) and not brute_articulation(H)
@@ -167,6 +176,17 @@ def _assert_blocks_partition_edges(G):
             count[v] += 1
     assert articulation_points(G) == tuple(v for v in range(G.n)
                                            if count[v] >= 2)
+
+
+def test_block_lists_match_the_induced_lists():
+    # On the battery's many-block graphs, each block's lists built from
+    # its own edges equal the lists induced_adjacency builds from G's
+    # masks.
+    for key, G in battery.many_block_inputs():
+        for ids, edges in zip(blocks(G), block_edges(G)):
+            ids = vertex_set(ids)
+            assert (local_adjacency(ids, edges)
+                    == graph_core.induced_adjacency(G, ids)), key
 
 
 def test_blocks_exhaustive_small():

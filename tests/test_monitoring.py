@@ -231,16 +231,24 @@ def test_whole_vertex_set_always_monitors():
 @pytest.fixture
 def bfs_runs(monkeypatch):
     """Counts BFS runs, base and deletion apart, from ``is_meg_set``, from
-    ``full_scan_is_meg_set`` and from ``all_pairs_distances`` alike."""
+    ``full_scan_is_meg_set`` and from ``all_pairs_distances`` alike; a
+    call of ``is_meg_set``'s stopping deletion BFS counts as a deletion
+    run."""
     runs = Counter()
     real = graph_core.bfs_distances
+    real_moves = monitoring._moves_a_later_member
 
     def spy(G, source, skip_edge=None):
         runs["deletion" if skip_edge is not None else "base"] += 1
         return real(G, source, skip_edge)
 
+    def moves_spy(*args):
+        runs["deletion"] += 1
+        return real_moves(*args)
+
     for module in (graph_core, monitoring, graphs_util):
         monkeypatch.setattr(module, "bfs_distances", spy)
+    monkeypatch.setattr(monitoring, "_moves_a_later_member", moves_spy)
     return runs
 
 
@@ -264,6 +272,85 @@ def test_is_meg_set_bfs_runs_on_path4(bfs_runs):
     # first deletion BFS, from 0
     assert is_meg_set(P, [0, 3]) == MegSetCheck(True, None)
     assert bfs_runs == {"base": 2, "deletion": 3}
+
+
+class _CountingAdj(list):
+    """Adjacency lists that count how many lists are read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def _id_graph(n, edges):
+    return graph_core.Graph([str(v) for v in range(n)], edges)
+
+
+def _moves(G, S, a, edge, adj=None):
+    """``_moves_a_later_member`` for member a of the ascending S."""
+    rank = [-1] * G.n
+    for i, x in enumerate(S):
+        rank[x] = i
+    return monitoring._moves_a_later_member(
+        G.adj if adj is None else adj, a, graph_core.bfs_distances(G, a),
+        rank, len(S) - 1 - rank[a], *edge)
+
+
+def test_deletion_bfs_is_true_when_it_cuts_a_later_member_off():
+    # A tree: every deletion cuts the leaves apart, and no reached
+    # distance changes, so only the emptied queue says "moved".
+    tree = _id_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+    leaves = [3, 4, 5, 6]
+    assert all(_moves(tree, leaves, 3, edge) for edge in tree.edges())
+    assert not _moves(tree, leaves, 5, (1, 3))
+    assert is_meg_set(tree, leaves) == MegSetCheck(True, None)
+    # C6 with the pendant path 0-6-7: deleting 6-7 cuts 7 off from 1,
+    # while deleting 1-2 leaves d(1, 7) = 3.
+    lollipop = _id_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                             (0, 6), (6, 7)])
+    assert _moves(lollipop, [1, 7], 1, (6, 7))
+    assert _moves(lollipop, [1, 7], 1, (0, 6))
+    assert not _moves(lollipop, [1, 7], 1, (1, 2))
+    for S in ([1, 7], [2, 4, 7], [3, 7]):
+        assert is_meg_set(lollipop, S) == full_scan_is_meg_set(lollipop, S)
+
+
+def test_deletion_bfs_stops_once_its_answer_is_known():
+    # Vertex 0's later members 1, 2, 3 are all its neighbours, with the
+    # path 1-2-3 among them and a 37-vertex tail 0-4-...-40.
+    G = _id_graph(41, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (0, 4)]
+                  + [(v, v + 1) for v in range(4, 40)])
+    S = [0, 1, 2, 3]
+    # Far from S: False once 1, 2 and 3 are found, from 0's list alone.
+    adj = _CountingAdj(G.adj)
+    assert not _moves(G, S, 0, (20, 21), adj)
+    assert adj.reads == 1
+    # Deleting 0-2: 1 is found unmoved first, then 2 at distance 2
+    # from 1's list, and the search stops there.
+    adj = _CountingAdj(G.adj)
+    assert _moves(G, S, 0, (0, 2), adj)
+    assert adj.reads == 2
+    # Deleting 0-3: 1 and 2 are found unmoved, 3 only from 2's list.
+    assert _moves(G, S, 0, (0, 3))
+    # Deleting 0-4 cuts off no member and moves none.
+    assert not _moves(G, S, 0, (0, 4))
+
+
+def test_is_meg_set_runs_on_sets_of_size_0_1_2(bfs_runs):
+    # No member: no BFS at all; one member: its base row only.
+    assert is_meg_set(path_graph(3), []) == MegSetCheck(False, (0, 1))
+    assert bfs_runs == {}
+    assert is_meg_set(path_graph(3), [1]) == MegSetCheck(False, (0, 1))
+    assert bfs_runs == {"base": 1}
+    bfs_runs.clear()
+    # Two members: deletion BFS from the first member only, one per edge.
+    assert is_meg_set(path_graph(4), [0, 2]) == MegSetCheck(False, (2, 3))
+    assert bfs_runs == {"base": 2, "deletion": 3}
+    bfs_runs.clear()
+    assert is_meg_set(path_graph(4), [1, 3]) == MegSetCheck(False, (0, 1))
+    assert bfs_runs == {"base": 2, "deletion": 1}
 
 
 def test_is_meg_set_checks_edges_with_one_end_in_s():
