@@ -355,25 +355,19 @@ def non_cut_vertices(G: Graph) -> tuple[int, ...]:
 
 def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
     """Subgraph induced by ``members`` (nonempty); labels carry over.
-    Its ids come from G, already checked, so no constructor check reruns."""
+    Each member's list is scanned once through a local-id dict, O(k +
+    their degrees) for k members however large G is. Its ids come from
+    G, already checked, so no constructor check reruns."""
     ids = vertex_set(members)
     if not ids:
         raise ValueError("induced subgraph needs a nonempty vertex set")
     if ids[0] < 0 or ids[-1] >= G.n:
         raise ValueError("vertex id out of range")
-    edges = [x for u, a in enumerate(induced_adjacency(G, ids))
-             for v in a if u < v for x in (u, v)]
-    return _graph_from_ids({G.labels[u]: i for i, u in enumerate(ids)}, edges)
-
-
-def induced_adjacency(G: Graph, ids: Sequence[int]) -> list[list[int]]:
-    """Ascending adjacency lists of the subgraph induced by the ascending
-    ``ids``, in local ids. Each member ANDs its n-bit adjacency mask with
-    the set's, O(k·n/64) words for k members; a block search reads
-    ``local_adjacency`` of ``block_edges`` instead."""
     local = dict(zip(ids, range(len(ids))))
-    mask = sum(1 << u for u in ids)
-    return [[local[w] for w in iter_bits(G.adj_masks[v] & mask)] for v in ids]
+    adj = G.adj
+    edges = [x for i, u in enumerate(ids) for v in adj[u]
+             if u < v and v in local for x in (i, local[v])]
+    return _graph_from_ids({G.labels[u]: i for i, u in enumerate(ids)}, edges)
 
 
 def complement(G: Graph) -> Graph:

@@ -185,10 +185,10 @@ def is_meg_set(G: Graph, members) -> MegSetCheck:
     - An edge uv with u, v both in S is skipped: the edge itself is the
       only shortest u-v path, so deleting it raises d(u, v) and the pair
       (u, v) monitors it.
-    - Base distances come from one BFS per member of S, not from all n
-      vertices, since only distances between members enter the test; and
-      each member a is compared only with the members after it, so no
-      deletion BFS runs from the last member.
+    - Base distances come from one BFS per member of S but the last, not
+      from all n vertices, since only distances between members enter
+      the test; and each member a is compared only with the members after
+      it, so no BFS of either kind runs from the last member.
     - Each deletion BFS from a stops as soon as its answer is known.
       BFS settles vertices in distance order, so a vertex's distance is
       final when the BFS first reaches it, and a deletion never shortens
@@ -210,9 +210,9 @@ def is_meg_set(G: Graph, members) -> MegSetCheck:
     rank = [-1] * G.n
     for i, a in enumerate(S):
         rank[a] = i
-    base = [bfs_distances(G, a) for a in S]
     # (a, a's base row, the number of members after a), but the last a
-    sources = list(zip(S[:-1], base, range(len(S) - 1, 0, -1)))
+    sources = [(a, bfs_distances(G, a), left)
+               for a, left in zip(S[:-1], range(len(S) - 1, 0, -1))]
     for u, v in G.edges():
         if rank[u] >= 0 and rank[v] >= 0:
             continue
@@ -248,22 +248,25 @@ def _moves_a_later_member(adj, a, base_a, rank, left: int,
     return True
 
 
-def _covered(adj, masks: tuple[int, ...], u: int) -> int:
-    """N[u] together with every vertex adjacent to two neighbors of u."""
-    once = twice = 0
-    for w in adj[u]:
-        mask_w = masks[w]
-        twice |= once & mask_w
-        once |= mask_w
-    return masks[u] | (1 << u) | twice
+def _mandatory_witness(adj, masks: tuple[int, ...], v: int,
+                       covered: list[int]) -> int | None:
+    """First u in ``adj[v]`` whose covered set contains N(v), or None.
 
-
-def _mandatory_witness(masks: tuple[int, ...], adj_v, v: int,
-                       covered) -> int | None:
-    """First u in ``adj_v`` whose ``covered(u)`` contains N(v), or None."""
+    u's covered set is N[u] together with every vertex adjacent to two
+    neighbors of u. ``covered[u]`` holds it once computed, filled here on
+    first read; 0 means "not computed yet", as the set always holds u.
+    """
     mask_v = masks[v]
-    for u in adj_v:
-        if not mask_v & ~covered(u):
+    for u in adj[v]:
+        got = covered[u]
+        if not got:
+            once = twice = 0
+            for w in adj[u]:
+                mask_w = masks[w]
+                twice |= once & mask_w
+                once |= mask_w
+            got = covered[u] = masks[u] | (1 << u) | twice
+        if not mask_v & ~got:
             return u
     return None
 
@@ -282,37 +285,27 @@ def is_mandatory(G: Graph, v: int) -> tuple[bool, int | None]:
     require_meg_input(G)
     if not 0 <= v < G.n:
         raise ValueError("vertex id out of range")
-    adj, masks = G.adj, G.adj_masks
-    u = _mandatory_witness(masks, adj[v], v,
-                           lambda u: _covered(adj, masks, u))
+    u = _mandatory_witness(G.adj, G.adj_masks, v, [0] * G.n)
     return u is not None, u
 
 
 def mandatory_vertices(G: Graph) -> tuple[int, ...]:
     """All vertices contained in every MEG set of G.
 
-    The rule of ``is_mandatory`` with each neighbor's covered set computed
-    at most once, the first time some v reads it: O(m) mask operations in
-    total, and often far fewer, since the scan of N(v) stops at the first
-    qualifying u. Cached on the graph, so auto mode's bounds and the
-    oracle it falls back to scan once.
+    The rule of ``is_mandatory`` with one ``covered`` list shared by every
+    v, so each neighbor's covered set is computed at most once: O(m) mask
+    operations in total, and often far fewer, since the scan of N(v)
+    stops at the first qualifying u. Cached on the graph, so auto mode's
+    bounds and the oracle it falls back to scan once.
     """
     if G._mandatory is not None:
         return G._mandatory
     require_meg_input(G)
     adj, masks = G.adj, G.adj_masks
-    # 0 means "not computed yet": a covered set always holds u itself.
     covered = [0] * G.n
-
-    def covered_once(u: int) -> int:
-        got = covered[u]
-        if not got:
-            got = covered[u] = _covered(adj, masks, u)
-        return got
-
     G._mandatory = tuple(v for v in range(G.n)
-                         if _mandatory_witness(masks, adj[v], v,
-                                               covered_once) is not None)
+                         if _mandatory_witness(adj, masks, v,
+                                               covered) is not None)
     return G._mandatory
 
 

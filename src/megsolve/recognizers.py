@@ -574,11 +574,10 @@ def _layered_candidate(G: Graph, start: int) -> tuple[tuple[int, ...], tuple[int
     the first and last position of the neighbors one layer closer to the
     start, then by degree, then by id. Even layers make the start's side."""
     layers = [[start]]
-    pos = {start: 0}
-    seen = {start}
+    pos = {start: 0}  # every vertex reached so far: its place in its layer
     while True:
         prev = layers[-1]
-        nxt = sorted({w for v in prev for w in G.adj[v] if w not in seen})
+        nxt = list({w for v in prev for w in G.adj[v] if w not in pos})
         if not nxt:
             break
         nxt.sort(key=lambda v: (min(pos[w] for w in G.adj[v] if w in pos),
@@ -586,7 +585,6 @@ def _layered_candidate(G: Graph, start: int) -> tuple[tuple[int, ...], tuple[int
                                 len(G.adj[v]), v))
         for i, v in enumerate(nxt):
             pos[v] = i
-        seen.update(nxt)
         layers.append(nxt)
     x_order = [v for i, layer in enumerate(layers) if i % 2 == 0 for v in layer]
     y_order = [v for i, layer in enumerate(layers) if i % 2 == 1 for v in layer]

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -700,3 +702,21 @@ def test_decomposition_is_exact_and_refuses_an_over_limit_block(
         code, out, err = run(capsys, "meg", "--method", method, c13)
         assert (code, out) == (5, "")
         assert err == "error: brute-force oracle: size 13 exceeds limit 12\n"
+
+
+def test_python_m_megsolve_runs_cli_main(tmp_path, capsys):
+    # From a source tree, ``python -m megsolve`` prints the report that an
+    # in-process cli.main call prints, with the same exit code.
+    path = write(tmp_path, "p5.edges", P5)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "megsolve", "mandatory", path],
+                          capture_output=True, text=True, env=env,
+                          check=False)
+    code, out, _ = run(capsys, "mandatory", path)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert json.loads(out)["result"]["mandatory"] == ["a", "e"]
+    proc = subprocess.run([sys.executable, "-m", "megsolve", "--help"],
+                          capture_output=True, env=env, check=False)
+    assert proc.returncode == 0

@@ -180,13 +180,13 @@ def _assert_blocks_partition_edges(G):
 
 def test_block_lists_match_the_induced_lists():
     # On the battery's many-block graphs, each block's lists built from
-    # its own edges equal the lists induced_adjacency builds from G's
-    # masks.
+    # its own edges equal the lists of the subgraph the block induces,
+    # read off G's whole lists by the reference.
     for key, G in battery.many_block_inputs():
         for ids, edges in zip(blocks(G), block_edges(G)):
             ids = vertex_set(ids)
             assert (local_adjacency(ids, edges)
-                    == graph_core.induced_adjacency(G, ids)), key
+                    == list(map(list, scan_induced_subgraph(G, ids).adj))), key
 
 
 def test_blocks_exhaustive_small():
@@ -241,8 +241,13 @@ def test_induced_subgraph_keeps_labels():
             H = induced_subgraph(G, members)
             ref = scan_induced_subgraph(G, members)
             assert H == ref and H.edges() == ref.edges()
-            assert (graph_core.induced_adjacency(G, vertex_set(members))
-                    == list(map(list, ref.adj)))
+            assert H.adj_masks == ref.adj_masks and H.m == ref.m
+    # Inside a large sparse graph: 2,000 members of 20,000 vertices.
+    G = gen_random_connected(20000, 24000, 1)
+    members = rng.sample(range(G.n), 2000)
+    H = induced_subgraph(G, members)
+    ref = scan_induced_subgraph(G, members)
+    assert H == ref and H.edges() == ref.edges() and H.m == ref.m > 0
 
 
 def test_complement_and_co_components():

@@ -266,12 +266,13 @@ def _assert_matches_full_scan(G, members, runs):
 def test_is_meg_set_bfs_runs_on_path4(bfs_runs):
     P = path_graph(4)
     assert is_meg_set(P, range(4)) == MegSetCheck(True, None)
-    assert bfs_runs == {"base": 4}
+    # no base row for the last member, which no deletion BFS reads
+    assert bfs_runs == {"base": 3}
     bfs_runs.clear()
-    # base rows from the two members only; each edge is covered by the
+    # a base row from the first member only; each edge is covered by the
     # first deletion BFS, from 0
     assert is_meg_set(P, [0, 3]) == MegSetCheck(True, None)
-    assert bfs_runs == {"base": 2, "deletion": 3}
+    assert bfs_runs == {"base": 1, "deletion": 3}
 
 
 class _CountingAdj(list):
@@ -339,18 +340,18 @@ def test_deletion_bfs_stops_once_its_answer_is_known():
 
 
 def test_is_meg_set_runs_on_sets_of_size_0_1_2(bfs_runs):
-    # No member: no BFS at all; one member: its base row only.
+    # No member, or one: no pair, so no BFS at all.
     assert is_meg_set(path_graph(3), []) == MegSetCheck(False, (0, 1))
     assert bfs_runs == {}
     assert is_meg_set(path_graph(3), [1]) == MegSetCheck(False, (0, 1))
-    assert bfs_runs == {"base": 1}
-    bfs_runs.clear()
-    # Two members: deletion BFS from the first member only, one per edge.
+    assert bfs_runs == {}
+    # Two members: the first member's base row and deletion BFS only, one
+    # per edge.
     assert is_meg_set(path_graph(4), [0, 2]) == MegSetCheck(False, (2, 3))
-    assert bfs_runs == {"base": 2, "deletion": 3}
+    assert bfs_runs == {"base": 1, "deletion": 3}
     bfs_runs.clear()
     assert is_meg_set(path_graph(4), [1, 3]) == MegSetCheck(False, (0, 1))
-    assert bfs_runs == {"base": 2, "deletion": 1}
+    assert bfs_runs == {"base": 1, "deletion": 1}
 
 
 def test_is_meg_set_checks_edges_with_one_end_in_s():
