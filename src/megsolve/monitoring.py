@@ -176,9 +176,11 @@ def geodesic_edge_rows(adj, sources):
 def is_meg_set(G: Graph, members) -> MegSetCheck:
     """Check whether ``members`` monitors every edge of G.
 
-    Iterates edges in sorted order; for each edge, a deletion BFS runs
-    from each member in turn, with early exit on the first monitoring
-    pair. On failure the first uncovered edge is reported.
+    Iterates edges in sorted order; for each edge uv, u's and v's lists
+    are copied once with the edge taken out (and put back once it is
+    covered), and a deletion BFS runs on those lists from each member in
+    turn, with early exit on the first monitoring pair. On failure the
+    first uncovered edge is reported.
 
     Three rules keep the work to what a deletion can change:
 
@@ -190,13 +192,14 @@ def is_meg_set(G: Graph, members) -> MegSetCheck:
       the test; and each member a is compared only with the members after
       it, so no BFS of either kind runs from the last member.
     - Each deletion BFS from a stops as soon as its answer is known.
-      BFS settles vertices in distance order, so a vertex's distance is
-      final when the BFS first reaches it, and a deletion never shortens
-      a distance, so each later member is found at its base distance or
-      farther. So the BFS answers "covered" at the first later member
-      found farther than its base distance; "not by a" once every later
-      member is found at its base distance; and "covered" if its queue
-      empties first, since the deletion then cut a later member off.
+      The BFS runs one level at a time, so a vertex's distance is the
+      number of the level that first reaches it, and a deletion never
+      shortens a distance, so each later member is found at its base
+      distance or farther. So the BFS answers "covered" at the first
+      later member found farther than its base distance; "not by a" once
+      every later member is found at its base distance; and "covered" if
+      its last level finds no new vertex first, since the deletion then
+      cut a later member off.
 
     Every skipped edge is covered, so the first uncovered edge in
     ``G.edges()`` order is never a skipped one; every other edge gets the
@@ -213,38 +216,49 @@ def is_meg_set(G: Graph, members) -> MegSetCheck:
     # (a, a's base row, the number of members after a), but the last a
     sources = [(a, bfs_distances(G, a), left)
                for a, left in zip(S[:-1], range(len(S) - 1, 0, -1))]
+    adj = G.adj
+    lists = list(adj)  # G's lists, with the edge under test taken out
     for u, v in G.edges():
         if rank[u] >= 0 and rank[v] >= 0:
             continue
-        if not any(_moves_a_later_member(G.adj, a, base_a, rank, left, u, v)
-                   for a, base_a, left in sources):
+        lists[u] = [w for w in adj[u] if w != v]
+        lists[v] = [w for w in adj[v] if w != u]
+        for a, base_a, left in sources:
+            if _moves_a_later_member(lists, a, base_a, rank, left):
+                break
+        else:
             return MegSetCheck(False, (u, v))
+        lists[u] = adj[u]
+        lists[v] = adj[v]
     return MegSetCheck(True, None)
 
 
-def _moves_a_later_member(adj, a, base_a, rank, left: int,
-                          u: int, v: int) -> bool:
-    """Whether deleting the edge uv raises d(a, b) above ``base_a[b]`` for
-    some member b after a, by a BFS from a that never crosses uv and
-    stops as ``is_meg_set`` says: ``rank[w]`` is w's position in S (-1
-    outside it), and ``left`` counts the members after a."""
+def _moves_a_later_member(adj, a, base_a, rank, left: int) -> bool:
+    """Whether some member b after a is farther from a in the graph with
+    lists ``adj`` than ``base_a[b]``, by a BFS from a, one level at a
+    time, that stops as ``is_meg_set`` says: ``rank[w]`` is w's position
+    in S (-1 outside it), and ``left`` counts the members after a."""
     i = rank[a]
-    dist = [-1] * len(adj)
-    dist[a] = 0
-    queue = [a]
-    for p in queue:  # a FIFO queue: the loop reads what it appends
-        d = dist[p] + 1
-        for w in adj[p]:
-            if dist[w] >= 0 or p == u and w == v or p == v and w == u:
-                continue
-            dist[w] = d
-            if rank[w] > i:
-                if d > base_a[w]:
-                    return True
-                left -= 1
-                if not left:
-                    return False
-            queue.append(w)
+    seen = [False] * len(adj)
+    seen[a] = True
+    level = [a]
+    d = 0
+    while level:
+        d += 1  # the distance of every vertex found from this level
+        found = []
+        for p in level:
+            for w in adj[p]:
+                if seen[w]:
+                    continue
+                seen[w] = True
+                if rank[w] > i:
+                    if d > base_a[w]:
+                        return True
+                    left -= 1
+                    if not left:
+                        return False
+                found.append(w)
+        level = found
     return True
 
 

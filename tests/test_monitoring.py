@@ -253,9 +253,12 @@ def bfs_runs(monkeypatch):
 
 
 def _assert_matches_full_scan(G, members, runs):
-    """Same ``MegSetCheck`` as the full scan, with at most its BFS runs."""
+    """Same ``MegSetCheck`` as the full scan, with at most its BFS runs,
+    and ``G.adj`` as it was."""
     runs.clear()
+    adj = [list(a) for a in G.adj]
     got = is_meg_set(G, members)
+    assert [list(a) for a in G.adj] == adj, (G.edges(), members)
     ours = sum(runs.values())
     runs.clear()
     assert got == full_scan_is_meg_set(G, members), (G.edges(), members)
@@ -290,18 +293,24 @@ def _id_graph(n, edges):
 
 
 def _moves(G, S, a, edge, adj=None):
-    """``_moves_a_later_member`` for member a of the ascending S."""
+    """``_moves_a_later_member`` for member a of the ascending S, on G's
+    lists with ``edge`` taken out; ``adj``, if given, is filled with
+    those lists and passed in their place."""
+    u, v = edge
+    adj = [] if adj is None else adj
+    adj[:] = G.adj
+    adj[u] = [w for w in G.adj[u] if w != v]
+    adj[v] = [w for w in G.adj[v] if w != u]
     rank = [-1] * G.n
     for i, x in enumerate(S):
         rank[x] = i
     return monitoring._moves_a_later_member(
-        G.adj if adj is None else adj, a, graph_core.bfs_distances(G, a),
-        rank, len(S) - 1 - rank[a], *edge)
+        adj, a, graph_core.bfs_distances(G, a), rank, len(S) - 1 - rank[a])
 
 
 def test_deletion_bfs_is_true_when_it_cuts_a_later_member_off():
     # A tree: every deletion cuts the leaves apart, and no reached
-    # distance changes, so only the emptied queue says "moved".
+    # distance changes, so only running out of levels says "moved".
     tree = _id_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     leaves = [3, 4, 5, 6]
     assert all(_moves(tree, leaves, 3, edge) for edge in tree.edges())
@@ -325,12 +334,12 @@ def test_deletion_bfs_stops_once_its_answer_is_known():
                   + [(v, v + 1) for v in range(4, 40)])
     S = [0, 1, 2, 3]
     # Far from S: False once 1, 2 and 3 are found, from 0's list alone.
-    adj = _CountingAdj(G.adj)
+    adj = _CountingAdj()
     assert not _moves(G, S, 0, (20, 21), adj)
     assert adj.reads == 1
     # Deleting 0-2: 1 is found unmoved first, then 2 at distance 2
     # from 1's list, and the search stops there.
-    adj = _CountingAdj(G.adj)
+    adj = _CountingAdj()
     assert _moves(G, S, 0, (0, 2), adj)
     assert adj.reads == 2
     # Deleting 0-3: 1 and 2 are found unmoved, 3 only from 2's list.
@@ -392,6 +401,26 @@ def test_is_meg_set_matches_full_scan_random(bfs_runs):
         for S in (V, mandatory_vertices(G), [x for x in V if x != drop],
                   rng.sample(V, rng.randrange(2, n))):
             _assert_matches_full_scan(G, S, bfs_runs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [20, 30])
+@pytest.mark.parametrize("make", [
+    lambda n, s: gen_distance_hereditary(n, s),
+    lambda n, s: gen_p4_sparse(n, s),
+    lambda n, s: gen_bipartite_permutation(n // 2, n - n // 2, s),
+    lambda n, s: gen_strongly_chordal(n, s, "interval"),
+    lambda n, s: gen_strongly_chordal(n, s, "block"),
+    lambda n, s: gen_random_connected(n, 2 * n, s),
+], ids=["dh", "p4sparse", "bipperm", "sc-interval", "sc-block", "random"])
+def test_is_meg_set_matches_full_scan_on_generators(make, n, seed, bfs_runs):
+    # At the benchmark's verify sizes: M, M without its lowest vertex,
+    # and the non-cut set, which is always an MEG set.
+    G = make(n, seed)
+    M = mandatory_vertices(G)
+    for S in (M, M[1:]):
+        _assert_matches_full_scan(G, S, bfs_runs)
+    assert _assert_matches_full_scan(G, bounds(G).non_cut, bfs_runs).ok
 
 
 def test_mandatory_c4_c5_frozen():
