@@ -2,8 +2,8 @@
 
 Vertices are dense ids 0..n-1; each id carries an external string label.
 Every set-valued result is a sorted id tuple so downstream output stays
-deterministic. Edge deletion is never materialized: breadth-first searches
-accept a ``skip_edge`` parameter instead of mutating the graph.
+deterministic. A graph is never mutated: ``bfs_distances`` takes a
+``skip_edge`` parameter, and ``is_meg_set`` edits its own list copies.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, count, filterfalse
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -76,9 +75,6 @@ class Graph:
         self._articulation = None
         self._mandatory = None
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -89,9 +85,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in sorted order."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def closed_mask(self, v: int) -> int:
-        return self.adj_masks[v] | (1 << v)
 
     def label(self, v: int) -> str:
         return self.labels[v]
@@ -192,24 +185,6 @@ def bfs_distances(G: Graph, source: int,
             dist[w] = d
             queue.append(w)
     return dist
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; INF encodes unreachable."""
-
-    dist: tuple[tuple[float, ...], ...]
-
-    def __getitem__(self, v: int) -> tuple[float, ...]:
-        return self.dist[v]
-
-    @property
-    def n(self) -> int:
-        return len(self.dist)
-
-
-def all_pairs_distances(G: Graph) -> DistanceMatrix:
-    return DistanceMatrix(tuple(tuple(bfs_distances(G, s)) for s in range(G.n)))
 
 
 def is_connected(G: Graph) -> bool:
@@ -353,23 +328,6 @@ def non_cut_vertices(G: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(G.n) if v not in cut)
 
 
-def induced_subgraph(G: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph induced by ``members`` (nonempty); labels carry over.
-    Each member's list is scanned once through a local-id dict, O(k +
-    their degrees) for k members however large G is. Its ids come from
-    G, already checked, so no constructor check reruns."""
-    ids = vertex_set(members)
-    if not ids:
-        raise ValueError("induced subgraph needs a nonempty vertex set")
-    if ids[0] < 0 or ids[-1] >= G.n:
-        raise ValueError("vertex id out of range")
-    local = dict(zip(ids, range(len(ids))))
-    adj = G.adj
-    edges = [x for i, u in enumerate(ids) for v in adj[u]
-             if u < v and v in local for x in (i, local[v])]
-    return _graph_from_ids({G.labels[u]: i for i, u in enumerate(ids)}, edges)
-
-
 def complement(G: Graph) -> Graph:
     edges = [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
              if not G.has_edge(u, v)]
@@ -437,10 +395,10 @@ def _lf_lines(text: str) -> str:
     return lf
 
 
-def _read(text: str, index: dict[str, int]) -> tuple[list[str] | None, list[int]]:
-    """Read edge-list text into ``index`` (empty on entry): its declared
-    vertices (``None`` without a header) and the ids ``a0, b0, a1, b1,
-    ...`` of its edge lines, with the declared labels interned first.
+def _read(text: str, index: dict[str, int]) -> list[int]:
+    """Read edge-list text into ``index`` (empty on entry) and return the
+    ids ``a0, b0, a1, b1, ...`` of its edge lines, with the labels of the
+    ``vertices:`` header, if any, interned first.
 
     One regex pass finds the comment, header and malformed lines and
     checks them in order, a line with the comment lines right after it
@@ -483,34 +441,20 @@ def _read(text: str, index: dict[str, int]) -> tuple[list[str] | None, list[int]
             if tokens:  # a cut at end - 1 leaves a last chunk of one "\n"
                 ids += _ids(index, tokens)
             start = cut
-    return declared, ids
-
-
-def parse_edge_list(text: str) -> tuple[list[tuple[str, str]], list[str] | None]:
-    """Parse edge-list text into (edge label pairs, declared vertices).
-
-    Lines starting with '#' and blank lines are ignored. One optional
-    ``vertices:`` header declares labels (allowing isolated vertices);
-    every other line must hold exactly two whitespace-separated labels.
-    Lines end at any ``str.splitlines`` break. Malformed lines raise
-    ``EdgeListParseError`` with their 1-based line number; self-loops are
-    left to the graph builder.
-    """
-    index: dict[str, int] = {}
-    declared, ids = _read(text, index)
-    labels = iter(map(tuple(index).__getitem__, ids))
-    return list(zip(labels, labels)), declared
+    return ids
 
 
 def graph_from_edge_list(text: str) -> Graph:
-    """Read edge-list text into a graph, as ``parse_edge_list`` followed
-    by ``build_graph`` would: declared labels take the first ids wherever
-    the header sits, then labels in order of first appearance. Every
-    malformed line raises before any self-loop does. The reader holds the
-    text, the label index and one id per edge end, never a list of the
-    lines or of all the label strings."""
+    """Read edge-list text into a graph. Blank lines and lines starting
+    with '#' are skipped; one optional ``vertices:`` header declares
+    labels, which take the first ids wherever it sits; every other line
+    holds exactly two labels, given ids in order of first appearance.
+    Lines end at any ``str.splitlines`` break. A malformed line raises
+    ``EdgeListParseError`` with its 1-based line number, before any
+    self-loop raises. The reader holds the text, the label index and one
+    id per edge end, never a list of the lines or of all the labels."""
     index: dict[str, int] = {}
-    ids = _read(text, index)[1]
+    ids = _read(text, index)
     del text  # a caller that passed its only reference frees it here
     return _graph_from_ids(index, ids)
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotConnectedError
-from .graph_core import (DistanceMatrix, Graph, bfs_distances, is_connected,
+from .graph_core import (Graph, bfs_distances, is_connected,
                          non_cut_vertices, vertex_set)
 
 # Path counts saturate at this cap (64-bit signed max). A saturated count
@@ -69,12 +69,12 @@ def monitors(G: Graph, a: int, b: int, edge: tuple[int, int]) -> bool:
 
 def shortest_path_counts(
         G: Graph, cap: int = SATURATION_CAP
-) -> tuple[DistanceMatrix, tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Per-source shortest-path counts with saturating addition.
 
-    Returns the distance matrix and a matrix ``counts`` where
-    ``counts[s][t]`` is the number of shortest s-t paths, clipped at
-    ``cap``. A clipped entry means "cap or more".
+    Returns two matrices as tuples of rows: ``dist[s][t]``, the hop
+    distance, and ``counts[s][t]``, the number of shortest s-t paths,
+    clipped at ``cap``. A clipped entry means "cap or more".
     """
     require_meg_input(G)
     adj = G.adj
@@ -100,10 +100,10 @@ def shortest_path_counts(
                     sigma[w] = min(cap, sigma[w] + sigma_p)
         dist_rows.append(tuple(dist))
         count_rows.append(tuple(sigma))
-    return DistanceMatrix(tuple(dist_rows)), tuple(count_rows)
+    return tuple(dist_rows), tuple(count_rows)
 
 
-def monitors_by_counting(G: Graph, dist: DistanceMatrix,
+def monitors_by_counting(G: Graph, dist: tuple[tuple[int, ...], ...],
                          counts: tuple[tuple[int, ...], ...],
                          a: int, b: int, edge: tuple[int, int],
                          cap: int = SATURATION_CAP) -> bool | None:
@@ -133,22 +133,15 @@ def monitors_by_counting(G: Graph, dist: DistanceMatrix,
     return c1 * c2 == total
 
 
-def geodesic_edge_masks(G: Graph) -> tuple[tuple[int, ...], ...]:
-    """Per source s and target t, the edges on every shortest s-t path.
-
-    Bit i stands for ``G.edges()[i]``; ``masks[s][t]`` is 0 for t == s
-    and for t unreachable from s. So ``masks[s][t] >> i & 1`` equals
-    ``monitors(G, s, t, G.edges()[i])``.
-    """
-    return tuple(map(tuple, geodesic_edge_rows(G.adj, range(G.n))))
-
-
 def geodesic_edge_rows(adj, sources):
-    """Yields row s of ``geodesic_edge_masks`` of the graph with ascending
-    adjacency lists ``adj``, as a list, for each s in ``sources`` in turn,
-    each from its own BFS once the last one is read: ``must[s] = 0`` and,
-    further out, ``must[w]`` is the AND over the BFS predecessors p of w
-    of ``must[p] | bit(p, w)``: every shortest s-w path ends in one.
+    """Yields, for each s in ``sources`` in turn, a list ``row`` of the
+    edges on every shortest s-t path, over the ascending adjacency lists
+    ``adj``, each row from its own BFS once the last one is read. Bit i
+    stands for edge i of the sorted edges (u, v), u < v: with
+    ``adj = G.adj``, ``row[t] >> i & 1`` equals
+    ``monitors(G, s, t, G.edges()[i])``, and ``row[s]`` is 0. Further out
+    from s, ``row[w]`` is the AND over the BFS predecessors p of w of
+    ``row[p] | bit(p, w)``: every shortest s-w path ends in one.
     """
     edge_bit: list[dict[int, int]] = [{} for _ in adj]
     edges = ((u, v) for u, a in enumerate(adj) for v in a if u < v)

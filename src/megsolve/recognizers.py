@@ -212,7 +212,10 @@ class _Pruning:
 
 
 def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
-    """Recheck every pruning step against the shrinking graph."""
+    """Recheck every pruning step against the shrinking graph; the empty
+    graph takes only the recognizer's ``PruneSequence((), -1)``."""
+    if G.n == 0:
+        return not seq.steps and seq.final_vertex == -1
     if len(seq.steps) != G.n - 1 or not 0 <= seq.final_vertex < G.n:
         return False
     masks = G.adj_masks
@@ -709,19 +712,6 @@ class SEO:
         }
 
 
-def _simple_chain(masks: tuple[int, ...], alive: int,
-                  v: int) -> tuple[tuple[int, ...] | None, int]:
-    """Inclusion chain over N[v] in the alive-induced subgraph, or a witness
-    that v is not simple (see ``_chain_or_witness``)."""
-    shift = len(masks).bit_length()
-    cm = {}
-    ranked = []
-    for u in iter_bits((masks[v] | (1 << v)) & alive):
-        cm[u] = closed = (masks[u] | (1 << u)) & alive
-        ranked.append(closed.bit_count() << shift | u)
-    return _chain_or_witness(cm, ranked, shift)
-
-
 def _chain_or_witness(cm, ranked: list[int],
                       shift: int) -> tuple[tuple[int, ...] | None, int]:
     """Inclusion chain over N[v], or a witness that v is not simple.
@@ -755,14 +745,6 @@ def _chain_or_witness(cm, ranked: list[int],
             return None, (1 << x) | (1 << y) | (1 << a) | (1 << b)
         y, cm_y = x, cm_x
     return tuple([r & ids for r in ranked]), 0
-
-
-def is_simple(G: Graph, v: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Simple vertex test: closed neighborhoods of N[v] form a chain."""
-    if not 0 <= v < G.n:
-        raise ValueError("vertex id out of range")
-    chain, _ = _simple_chain(G.adj_masks, (1 << G.n) - 1, v)
-    return (chain is not None), chain
 
 
 def recognize_strongly_chordal(G: Graph) -> SEO | None:

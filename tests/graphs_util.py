@@ -16,11 +16,10 @@ from megsolve import (SEO, EdgeListParseError, Graph, PruneSequence, PruneStep,
                       SelfLoopError, SpiderPartition, StrongOrdering,
                       build_graph, mandatory_vertices,
                       verify_spider_partition)
-from megsolve.graph_core import (DistanceMatrix, all_pairs_distances,
-                                 articulation_points, bfs_distances,
+from megsolve.graph_core import (articulation_points, bfs_distances,
                                  vertex_set)
 from megsolve.monitoring import (SATURATION_CAP, MegSetCheck,
-                                 geodesic_edge_masks, require_meg_input)
+                                 geodesic_edge_rows, require_meg_input)
 
 
 def path_graph(k: int) -> Graph:
@@ -230,7 +229,7 @@ def full_scan_is_meg_set(G: Graph, members) -> MegSetCheck:
     S = vertex_set(members)
     if S and (S[0] < 0 or S[-1] >= G.n):
         raise ValueError("vertex id out of range")
-    dist = all_pairs_distances(G)
+    dist = [bfs_distances(G, s) for s in range(G.n)]
     for u, v in G.edges():
         covered = False
         for a in S:
@@ -272,7 +271,7 @@ def sorted_shortest_path_counts(G: Graph, cap: int = SATURATION_CAP):
             sigma[v] = total
         dist_rows.append(tuple(dist))
         count_rows.append(tuple(sigma))
-    return DistanceMatrix(tuple(dist_rows)), tuple(count_rows)
+    return tuple(dist_rows), tuple(count_rows)
 
 
 def brute_min_meg(G: Graph) -> tuple[int, tuple[int, ...]]:
@@ -292,7 +291,7 @@ def brute_all_min_meg(G: Graph) -> list[tuple[int, ...]]:
 def _tuple_keyed_cover(G: Graph) -> tuple[int, dict[tuple[int, int], int]]:
     """Full coverage mask and a dict from each pair (s, t), s < t, that
     monitors some edge to the mask of those edges."""
-    must = geodesic_edge_masks(G)
+    must = list(geodesic_edge_rows(G.adj, range(G.n)))
     cover = {(s, t): must[s][t]
              for s in range(G.n) for t in range(s + 1, G.n) if must[s][t]}
     return (1 << G.m) - 1, cover
@@ -386,8 +385,9 @@ def brute_articulation(G: Graph) -> list[int]:
 
 
 def scan_induced_subgraph(G: Graph, members) -> Graph:
-    """The package's former ``induced_subgraph``, which walks every
-    member's whole adjacency list. Reference for ``induced_subgraph``."""
+    """The subgraph induced by ``members``, labels carried over, read off
+    every member's whole adjacency list. Reference for the block lists
+    that ``local_adjacency`` builds from ``block_edges``."""
     ids = vertex_set(members)
     remap = {old: new for new, old in enumerate(ids)}
     edges = [(remap[u], remap[v])

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megsolve import (EdgeListParseError, Graph, INF, SelfLoopError,
-                      all_pairs_distances, articulation_points, bfs_distances,
-                      build_graph, co_components, complement,
-                      connected_components, format_edge_list,
-                      gen_bipartite_permutation, gen_distance_hereditary,
-                      gen_p4_sparse, gen_random_connected,
-                      gen_strongly_chordal, graph_from_edge_list,
-                      induced_subgraph, is_connected, parse_edge_list,
-                      spider_graph, vertex_set)
+                      articulation_points, bfs_distances, build_graph,
+                      co_components, complement, connected_components,
+                      format_edge_list, gen_bipartite_permutation,
+                      gen_distance_hereditary, gen_p4_sparse,
+                      gen_random_connected, gen_strongly_chordal,
+                      graph_from_edge_list, is_connected, spider_graph,
+                      vertex_set)
 from megsolve import graph_core
 from megsolve.graph_core import (block_edges, blocks, iter_bits,
                                  local_adjacency)
@@ -27,8 +26,7 @@ from graphs_util import (all_connected_graphs, brute_articulation,
                          complete_graph, connected_graph_classes,
                          cycle_graph, path_graph,
                          random_connected_graph, scan_induced_subgraph,
-                         star_graph, two_stage_build,
-                         two_stage_parse_edge_list, two_stage_read)
+                         star_graph, two_stage_build, two_stage_read)
 
 
 def test_build_graph_first_appearance_ids():
@@ -69,14 +67,14 @@ def test_edge_out_of_range_rejected():
 
 def test_accessors_roundtrip():
     G = build_graph([("a", "b"), ("b", "c")])
-    assert G.neighbors(1) == (0, 2)
+    assert G.adj[1] == (0, 2)
     assert G.degree(1) == 2
     assert G.has_edge(0, 1) and not G.has_edge(0, 2)
     assert not G.has_edge(0, 0)
     assert not G.has_edge(-1, 1) and not G.has_edge(1, -1)
     assert not G.has_edge(3, 1) and not G.has_edge(1, 3)
     assert G.edges() == [(0, 1), (1, 2)]
-    assert G.closed_mask(1) == 0b111
+    assert G.adj_masks[1] | 1 << 1 == 0b111
     assert G.label(2) == "c"
     assert G.labels_of((2, 0)) == ("c", "a")
     with pytest.raises(KeyError):
@@ -122,12 +120,11 @@ def test_bfs_skip_edge_reroutes():
 
 def test_all_pairs_symmetric():
     G = random_connected_graph(random.Random(5), 9, extra=5)
-    dm = all_pairs_distances(G)
-    assert dm.n == 9
+    dm = [bfs_distances(G, s) for s in range(G.n)]
+    assert all(len(row) == 9 for row in dm)
     for u in range(9):
         for v in range(9):
             assert dm[u][v] == dm[v][u]
-            assert dm[u][v] == bfs_distances(G, u)[v]
 
 
 def test_connectivity_and_components():
@@ -168,7 +165,7 @@ def _assert_blocks_partition_edges(G):
         sorted((u, v) for u in b for v in b if u < v and G.has_edge(u, v))
         for b in found]
     for b in found:
-        H = induced_subgraph(G, b)
+        H = scan_induced_subgraph(G, b)
         assert is_connected(H) and not brute_articulation(H)
     count = [0] * G.n
     for b in found:
@@ -181,12 +178,15 @@ def _assert_blocks_partition_edges(G):
 def test_block_lists_match_the_induced_lists():
     # On the battery's many-block graphs, each block's lists built from
     # its own edges equal the lists of the subgraph the block induces,
-    # read off G's whole lists by the reference.
+    # read off G's whole lists by the reference. block_edges lists each
+    # block's edges in ascending order, so the lists are also built from
+    # the edges reversed, which only sorting turns ascending.
     for key, G in battery.many_block_inputs():
         for ids, edges in zip(blocks(G), block_edges(G)):
             ids = vertex_set(ids)
-            assert (local_adjacency(ids, edges)
-                    == list(map(list, scan_induced_subgraph(G, ids).adj))), key
+            expected = list(map(list, scan_induced_subgraph(G, ids).adj))
+            assert local_adjacency(ids, edges) == expected, key
+            assert local_adjacency(ids, edges[::-1]) == expected, key
 
 
 def test_blocks_exhaustive_small():
@@ -220,36 +220,6 @@ def test_articulation_known_shapes():
     assert articulation_points(complete_graph(4)) == ()
 
 
-def test_induced_subgraph_keeps_labels():
-    G = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    H = induced_subgraph(G, [0, 1, 3])
-    assert H.labels == ("a", "b", "d")
-    assert H.edges() == [(0, 1), (0, 2)]
-    with pytest.raises(ValueError):
-        induced_subgraph(G, [])
-    with pytest.raises(ValueError):
-        induced_subgraph(G, [0, 9])
-    rng = random.Random(309)
-    for make in (lambda s: gen_distance_hereditary(40, s),
-                 lambda s: gen_bipartite_permutation(15, 25, s),
-                 lambda s: gen_strongly_chordal(40, s),
-                 lambda s: gen_p4_sparse(40, s),
-                 lambda s: gen_random_connected(40, 80, s)):
-        for seed in range(20):
-            G = make(seed)
-            members = rng.sample(range(G.n), rng.randint(1, G.n))
-            H = induced_subgraph(G, members)
-            ref = scan_induced_subgraph(G, members)
-            assert H == ref and H.edges() == ref.edges()
-            assert H.adj_masks == ref.adj_masks and H.m == ref.m
-    # Inside a large sparse graph: 2,000 members of 20,000 vertices.
-    G = gen_random_connected(20000, 24000, 1)
-    members = rng.sample(range(G.n), 2000)
-    H = induced_subgraph(G, members)
-    ref = scan_induced_subgraph(G, members)
-    assert H == ref and H.edges() == ref.edges() and H.m == ref.m > 0
-
-
 def test_complement_and_co_components():
     P = path_graph(3)
     H = complement(P)
@@ -276,9 +246,9 @@ def test_co_components_match_components_of_complement():
 
 def test_parse_edge_list_basics():
     text = "# comment\n\na b\n  b   c  \n# x y\n"
-    edges, declared = parse_edge_list(text)
-    assert edges == [("a", "b"), ("b", "c")]
-    assert declared is None
+    G = graph_from_edge_list(text)
+    assert G.labels == ("a", "b", "c")
+    assert G.edges() == [(0, 1), (1, 2)]
 
 
 def test_parse_vertices_header():
@@ -290,13 +260,13 @@ def test_parse_vertices_header():
 
 def test_parse_duplicate_header_rejected():
     with pytest.raises(EdgeListParseError) as err:
-        parse_edge_list("vertices: a\nvertices: b\n")
+        graph_from_edge_list("vertices: a\nvertices: b\n")
     assert err.value.line_no == 2
 
 
 def test_parse_bad_line_reports_number():
     with pytest.raises(EdgeListParseError) as err:
-        parse_edge_list("a b\nxyz\n")
+        graph_from_edge_list("a b\nxyz\n")
     assert err.value.line_no == 2
     assert "line 2" in str(err.value)
 
@@ -384,18 +354,9 @@ def _two_stage_outcome(text):
     return labels, adj, masks, m, list(index.items())
 
 
-def _parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except EdgeListParseError as exc:
-        return exc.line_no, str(exc)
-
-
 def assert_reads_like_two_stage(text):
     expected = _two_stage_outcome(text)
     assert _read_outcome(text) == expected, repr(text)
-    assert _parse_outcome(parse_edge_list, text) == \
-        _parse_outcome(two_stage_parse_edge_list, text), repr(text)
     return expected
 
 
@@ -434,10 +395,9 @@ READER_CASES += [
 
 @pytest.mark.parametrize("text, line_no, message", COMMENT_RUN_ERRORS)
 def test_line_numbers_after_comment_runs(text, line_no, message):
-    for read in (graph_from_edge_list, parse_edge_list):
-        with pytest.raises(EdgeListParseError, match=message) as err:
-            read(text)
-        assert err.value.line_no == line_no
+    with pytest.raises(EdgeListParseError, match=message) as err:
+        graph_from_edge_list(text)
+    assert err.value.line_no == line_no
 
 
 @pytest.mark.parametrize("text", READER_CASES)
@@ -573,7 +533,7 @@ def test_articulation_matches_brute_property(G):
 @settings(max_examples=60, deadline=None)
 @given(random_graphs())
 def test_distance_triangle_inequality(G):
-    dm = all_pairs_distances(G)
+    dm = [bfs_distances(G, s) for s in range(G.n)]
     for u in range(G.n):
         for v in range(G.n):
             for w in range(G.n):

@@ -10,12 +10,12 @@ from megsolve import (MegSetCheck, NotConnectedError, SATURATION_CAP, bounds,
                       build_graph, gen_bipartite_permutation,
                       gen_distance_hereditary, gen_p4_sparse,
                       gen_random_connected, gen_strongly_chordal,
-                      geodesic_edge_masks, is_mandatory, is_meg_set,
-                      mandatory_bruteforce, mandatory_vertices, monitors,
-                      monitors_by_counting, shortest_path_counts,
-                      spider_graph)
+                      is_mandatory, is_meg_set, mandatory_bruteforce,
+                      mandatory_vertices, monitors, monitors_by_counting,
+                      shortest_path_counts, spider_graph)
 from megsolve import graph_core, monitoring
 from megsolve.graph_core import articulation_points
+from megsolve.monitoring import geodesic_edge_rows
 
 import graphs_util
 from graphs_util import (all_connected_graphs, brute_is_meg, brute_mandatory,
@@ -84,7 +84,7 @@ def test_monitors_agrees_with_geodesic_enumeration():
 
 
 def assert_masks_match_monitors(G):
-    masks = geodesic_edge_masks(G)
+    masks = list(geodesic_edge_rows(G.adj, range(G.n)))
     for s in range(G.n):
         assert masks[s][s] == 0
         for t in range(G.n):
@@ -95,13 +95,13 @@ def assert_masks_match_monitors(G):
             assert masks[s][t] == expected
 
 
-def test_geodesic_edge_masks_match_monitors_exhaustive():
+def test_geodesic_edge_rows_match_monitors_exhaustive():
     for n in (2, 3, 4, 5):
         for G in all_connected_graphs(n):
             assert_masks_match_monitors(G)
 
 
-def test_geodesic_edge_masks_match_monitors_random():
+def test_geodesic_edge_rows_match_monitors_random():
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randrange(6, 11)
@@ -230,10 +230,9 @@ def test_whole_vertex_set_always_monitors():
 
 @pytest.fixture
 def bfs_runs(monkeypatch):
-    """Counts BFS runs, base and deletion apart, from ``is_meg_set``, from
-    ``full_scan_is_meg_set`` and from ``all_pairs_distances`` alike; a
-    call of ``is_meg_set``'s stopping deletion BFS counts as a deletion
-    run."""
+    """Counts BFS runs, base and deletion apart, from ``is_meg_set`` and
+    from ``full_scan_is_meg_set`` alike; a call of ``is_meg_set``'s
+    stopping deletion BFS counts as a deletion run."""
     runs = Counter()
     real = graph_core.bfs_distances
     real_moves = monitoring._moves_a_later_member

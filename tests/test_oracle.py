@@ -8,9 +8,8 @@ from megsolve import (Graph, LimitExceededError, all_min_meg_sets, bounds,
                       gen_random_connected, gen_strongly_chordal,
                       is_mandatory, is_meg_set, mandatory_bruteforce,
                       mandatory_vertices, min_meg_bruteforce)
-from megsolve import build_graph, geodesic_edge_masks, oracle
-from megsolve.graph_core import (articulation_points, blocks,
-                                 induced_subgraph, vertex_set)
+from megsolve import build_graph, oracle
+from megsolve.graph_core import articulation_points, blocks, vertex_set
 from megsolve.monitoring import geodesic_edge_rows
 from megsolve.oracle import _covering_subsets, _pack, _rank
 
@@ -19,7 +18,7 @@ from graphs_util import (all_connected_graphs, brute_all_min_meg,
                          brute_min_meg, complete_graph,
                          connected_graph_classes, cycle_graph, path_graph,
                          random_connected_graph, rescan_all_min_meg_sets,
-                         rescan_min_meg, star_graph)
+                         rescan_min_meg, scan_induced_subgraph, star_graph)
 
 
 def test_frozen_small_values():
@@ -343,9 +342,10 @@ def test_one_packing_per_search(monkeypatch):
 
 def test_block_search_reads_the_induced_subgraphs_lists(monkeypatch):
     # On every block B, geodesic_edge_rows over B's local adjacency lists
-    # (local ids in G's order) numbers the edges as geodesic_edge_masks of
-    # the induced subgraph does, and the block search passes those lists
-    # for each block it searches (the flower's center lies in four).
+    # (local ids in G's order) numbers the edges as it does over the lists
+    # of the induced subgraph that scan_induced_subgraph builds, and the
+    # block search passes those lists for each block it searches (the
+    # flower's center lies in four).
     seen = []
     search = oracle._search
     monkeypatch.setattr(oracle, "_search",
@@ -356,11 +356,12 @@ def test_block_search_reads_the_induced_subgraphs_lists(monkeypatch):
         seen.clear()
         oracle.solve_by_cut_decomposition(G, G.n)
         for ids in map(vertex_set, blocks(G)):
-            H = induced_subgraph(G, ids)
+            H = scan_induced_subgraph(G, ids)
             adj = [tuple(ids.index(w) for w in G.adj[v] if w in ids)
                    for v in ids]
             assert (list(map(tuple, geodesic_edge_rows(adj, range(H.n))))
-                    == list(geodesic_edge_masks(H)))
+                    == list(map(tuple, geodesic_edge_rows(H.adj,
+                                                          range(H.n)))))
             if not forced.issuperset(ids):
                 assert list(map(tuple, seen.pop(0))) == adj
         assert seen == []

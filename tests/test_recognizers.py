@@ -16,16 +16,15 @@ from megsolve import (CLASSES, GenSpec, Graph, NotConnectedError,
                       gen_bipartite_permutation_with_ordering,
                       gen_distance_hereditary, gen_p4_sparse,
                       gen_random_connected, gen_strongly_chordal, generate,
-                      is_connected, is_simple,
-                      recognize_bipartite_permutation,
+                      is_connected, recognize_bipartite_permutation,
                       recognize_distance_hereditary, recognize_p4_sparse,
                       recognize_strongly_chordal, spider_graph,
                       strong_ordering_from_orders, verify_prune_sequence,
                       verify_seo, verify_spider_partition,
                       verify_strong_ordering)
 from megsolve import recognizers
-from megsolve.graph_core import mask_components
-from megsolve.recognizers import (_Pruning, _p4_stuck, _simple_chain,
+from megsolve.graph_core import iter_bits, mask_components
+from megsolve.recognizers import (_Pruning, _chain_or_witness, _p4_stuck,
                                   _spider_masks)
 
 from graphs_util import (all_connected_graphs, backtracking_simple_elimination,
@@ -117,6 +116,28 @@ def test_dh_tampered_certificates_rejected():
         assert not verify_prune_sequence(G, out_of_range)
     for final in (-1, G.n):
         assert not verify_prune_sequence(G, PruneSequence(seq.steps, final))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_tiny_graph_certificates_replay(n):
+    # Each recognizer answers "yes" on the 0- and 1-vertex graphs, and the
+    # certificate it emits replays; the bipartite permutation search needs
+    # a connected graph, and the 0-vertex graph has no strong ordering.
+    G = Graph([f"v{i}" for i in range(n)], [])
+    seq = recognize_distance_hereditary(G)
+    assert seq is not None and verify_prune_sequence(G, seq)
+    assert not verify_prune_sequence(
+        G, PruneSequence(seq.steps, seq.final_vertex + 1))
+    seo = recognize_strongly_chordal(G)
+    assert seo is not None and verify_seo(G, seo)
+    assert recognize_p4_sparse(G)
+    if n == 0:
+        with pytest.raises(NotConnectedError):
+            recognize_bipartite_permutation(G)
+    else:
+        result = recognize_bipartite_permutation(G)
+        assert result.verdict == "yes"
+        assert verify_strong_ordering(G, result.ordering)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -788,18 +809,6 @@ def test_sc_trees_always_pass():
         assert verify_seo(T, seo)
 
 
-def test_is_simple_frozen():
-    P = path_graph(3)
-    assert is_simple(P, 0) == (True, (0, 1))
-    ok, chain = is_simple(P, 1)
-    assert not ok and chain is None
-    K = complete_graph(3)
-    for v in range(3):
-        assert is_simple(K, v)[0]
-    with pytest.raises(ValueError):
-        is_simple(P, 7)
-
-
 def test_sc_certificate_replays_and_tampering_fails():
     G = with_universal(path_graph(5))
     seo = recognize_strongly_chordal(G)
@@ -930,6 +939,17 @@ def test_pruning_steps_on_dense_p4_sparse_negatives():
         assert len(steps) < G.n - 1
         twin_steps += sum(step.kind != "pendant" for step in steps)
     assert twin_steps >= 50
+
+
+def _simple_chain(masks, alive, v):
+    """``_chain_or_witness`` for v in the subgraph induced by ``alive``."""
+    shift = len(masks).bit_length()
+    cm = {}
+    ranked = []
+    for u in iter_bits((masks[v] | (1 << v)) & alive):
+        cm[u] = closed = (masks[u] | (1 << u)) & alive
+        ranked.append(closed.bit_count() << shift | u)
+    return _chain_or_witness(cm, ranked, shift)
 
 
 def test_simple_chain_witness_survives_unrelated_deletions():
