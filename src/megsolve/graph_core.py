@@ -309,16 +309,18 @@ def block_edges(G: Graph) -> list[list[tuple[int, int]]]:
 def local_adjacency(ids: Sequence[int],
                     edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Ascending adjacency lists of the graph on the ascending ``ids``
-    with ``edges``, in local ids (positions in ``ids``). With a block's
-    ``block_edges`` this costs O(k + edges of the block) steps plus
-    sorting each list, however large the graph around it."""
+    with ``edges``, in local ids (positions in ``ids``).
+
+    The edges must come as ``block_edges`` gives them: pairs (u, v) with
+    u < v, ascending. Each list then fills with its lower neighbors, then
+    its higher ones, both ascending, so no list needs sorting, and a
+    block costs O(k + edges of the block) steps, however large the graph
+    around it."""
     local = dict(zip(ids, range(len(ids))))
     adj: list[list[int]] = [[] for _ in ids]
     for u, v in edges:
         adj[local[u]].append(local[v])
         adj[local[v]].append(local[u])
-    for a in adj:
-        a.sort()
     return adj
 
 

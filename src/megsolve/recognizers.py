@@ -11,7 +11,7 @@ that an independent verifier in this module can recheck.
 The two eliminations keep per-vertex state that each removal updates
 over the removed vertex's adjacency list instead of rebuilding alive
 neighborhoods at every step: the pruning keeps alive open neighborhoods,
-the pendant set and an ascending twin index (``_Pruning``); the
+the pendant set and a lazily filed twin index (``_Pruning``); the
 simple-vertex elimination keeps alive closed neighborhoods and their
 sizes, and skips vertices whose non-simplicity witness is intact.
 """
@@ -81,23 +81,26 @@ def recognize_distance_hereditary(G: Graph) -> PruneSequence | None:
 
 class _Pruning:
     """Alive open neighborhoods of a graph losing vertices, with the
-    pendant set and an ascending twin index.
+    pendant set and a lazy ascending twin index.
 
     ``nb[u]`` is the alive open neighborhood of u (None once u is removed)
     and ``pendant`` the mask of alive vertices with exactly one alive
     neighbor; removing v updates both over ``G.adj[v]``.
 
-    The twin index files alive vertices below ``frontier``, which only
-    moves up: ``closed`` and ``open`` map a closed or open neighborhood to
-    the mask of the vertices filed under it. A removal never separates
-    surviving twins, so a new twin pair always involves a vertex whose
-    neighborhood changed: removing v marks its filed neighbors ``stale``,
-    and ``_first_twin`` re-files stale vertices in ascending order, only
-    as far as its answer. ``twinned`` holds every filed vertex that has a
-    lower member in one of its groups, and possibly others, which
-    ``_first_twin`` drops when it meets them. Vertices at or above the
-    frontier are filed only when no filed vertex has a twin, so a graph
-    with an early twin never pays for indexing the rest.
+    The twin index maps a closed (``closed``) or open (``open``)
+    neighborhood to the mask of the vertices filed under it. One lazy
+    queue, ``todo``, holds every vertex not yet filed under its current
+    neighborhoods (all of them at the start, then each removed vertex's
+    alive neighbors) and every filed vertex that may have a lower member
+    in one of its groups. A removal never separates surviving twins, so a
+    new twin pair always involves a vertex whose neighborhood changed.
+    ``next_step`` takes ``todo`` lowest first and files each vertex it
+    meets, so every alive vertex below it is filed under its current
+    neighborhoods with no lower twin; the first vertex that finds a lower
+    member in one of its groups is the answer, and a graph with an early
+    twin never pays for indexing the rest. A vertex that lands below a
+    group's old lowest member puts that member back on ``todo``; the
+    group's other members already had a lower member.
 
     Nothing is unfiled, yet an old entry never answers a query, because
     queries look up current neighborhoods and take the lowest entry
@@ -120,21 +123,41 @@ class _Pruning:
                 self.pendant |= 1 << v
         self.closed: dict[int, int] = {}
         self.open: dict[int, int] = {}
-        self.twinned = 0
-        self.stale = 0
-        self.frontier = 0
+        self.todo = (1 << G.n) - 1
 
     def next_step(self) -> PruneStep | None:
-        """The lowest pendant vertex, else the first twin, else None."""
+        """The lowest pendant vertex, else the lowest alive vertex with a
+        lower twin, paired with the lowest such twin (true twins first),
+        else None."""
+        nb = self.nb
         if self.pendant:
             v = (self.pendant & -self.pendant).bit_length() - 1
-            return PruneStep(v, "pendant", self.nb[v].bit_length() - 1)
-        return self._first_twin()
+            return PruneStep(v, "pendant", nb[v].bit_length() - 1)
+        todo = self.todo
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
+            nb_v = nb[v]
+            if nb_v is None:
+                continue
+            for groups, key, kind in ((self.closed, nb_v | bit, "true_twin"),
+                                      (self.open, nb_v, "false_twin")):
+                group = groups.get(key, 0)
+                groups[key] = group | bit
+                low = group & -group
+                if 0 < low < bit:
+                    self.todo = todo
+                    return PruneStep(v, kind, low.bit_length() - 1)
+                if low > bit:
+                    todo |= low
+        self.todo = 0
+        return None
 
     def remove(self, v: int) -> None:
         nb = self.nb
         bit = 1 << v
-        self.stale = (self.stale & ~bit) | (nb[v] & ((1 << self.frontier) - 1))
+        self.todo |= nb[v]
         nb[v] = None
         pendant = self.pendant & ~bit
         for u in self.adj[v]:
@@ -147,68 +170,6 @@ class _Pruning:
                     else:
                         pendant &= ~(1 << u)
         self.pendant = pendant
-
-    def _refile(self, u: int) -> None:
-        """File the stale vertex u under its current neighborhoods."""
-        bit = 1 << u
-        nb_u = self.nb[u]
-        twinned = self.twinned & ~bit
-        for groups, key in ((self.closed, nb_u | bit), (self.open, nb_u)):
-            group = groups.get(key, 0)
-            groups[key] = group | bit
-            if group:
-                low = group & -group
-                # u has a lower member, or the old lowest member now has u
-                twinned |= bit if low < bit else low
-        self.twinned = twinned
-        self.stale ^= bit
-
-    def _first_twin(self) -> PruneStep | None:
-        """The lowest alive vertex with a lower twin, paired with the
-        lowest such twin (true twins first), or None if there is none.
-
-        A candidate is checked only once every stale vertex below it is
-        re-filed, so that every vertex below it is filed under its
-        current neighborhoods.
-        """
-        nb = self.nb
-        while True:
-            while self.twinned | self.stale:
-                todo = self.twinned | self.stale
-                bit = todo & -todo
-                v = bit.bit_length() - 1
-                if self.stale & bit:
-                    self._refile(v)
-                    continue
-                if nb[v] is not None:
-                    group = self.closed[nb[v] | bit] & (bit - 1)
-                    if group:
-                        w = (group & -group).bit_length() - 1
-                        return PruneStep(v, "true_twin", w)
-                    group = self.open[nb[v]] & (bit - 1)
-                    if group:
-                        w = (group & -group).bit_length() - 1
-                        return PruneStep(v, "false_twin", w)
-                self.twinned ^= bit
-            # File the next alive vertices until one has a lower member:
-            # each is above every filed vertex, so that happens iff one of
-            # its groups is occupied.
-            closed, opn = self.closed, self.open
-            for v in range(self.frontier, len(nb)):
-                nb_v = nb[v]
-                if nb_v is not None:
-                    bit = 1 << v
-                    group = closed.get(nb_v | bit, 0)
-                    closed[nb_v | bit] = group | bit
-                    other = opn.get(nb_v, 0)
-                    opn[nb_v] = other | bit
-                    if group | other:
-                        self.frontier = v + 1
-                        self.twinned = bit
-                        break
-            else:
-                self.frontier = len(nb)
-                return None
 
 
 def verify_prune_sequence(G: Graph, seq: PruneSequence) -> bool:
@@ -672,10 +633,10 @@ def recognize_bipartite_permutation(G: Graph) -> BipPermResult:
       by the key and then by id is such a reordering; by induction over
       the layers the candidate from x1 is a strong ordering.
     """
-    if G.n == 0 or not is_connected(G):
+    if not is_connected(G):
         raise NotConnectedError("strong-ordering search needs a connected graph")
-    if G.n == 1:
-        return BipPermResult("yes", StrongOrdering((0,), ()))
+    if G.n <= 1:
+        return BipPermResult("yes", StrongOrdering(tuple(range(G.n)), ()))
     dist = [0] + [-1] * (G.n - 1)
     nxt = [0]
     while nxt:

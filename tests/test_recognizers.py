@@ -121,8 +121,7 @@ def test_dh_tampered_certificates_rejected():
 @pytest.mark.parametrize("n", [0, 1])
 def test_tiny_graph_certificates_replay(n):
     # Each recognizer answers "yes" on the 0- and 1-vertex graphs, and the
-    # certificate it emits replays; the bipartite permutation search needs
-    # a connected graph, and the 0-vertex graph has no strong ordering.
+    # certificate it emits replays.
     G = Graph([f"v{i}" for i in range(n)], [])
     seq = recognize_distance_hereditary(G)
     assert seq is not None and verify_prune_sequence(G, seq)
@@ -131,13 +130,10 @@ def test_tiny_graph_certificates_replay(n):
     seo = recognize_strongly_chordal(G)
     assert seo is not None and verify_seo(G, seo)
     assert recognize_p4_sparse(G)
-    if n == 0:
-        with pytest.raises(NotConnectedError):
-            recognize_bipartite_permutation(G)
-    else:
-        result = recognize_bipartite_permutation(G)
-        assert result.verdict == "yes"
-        assert verify_strong_ordering(G, result.ordering)
+    result = recognize_bipartite_permutation(G)
+    assert result.verdict == "yes"
+    assert result.ordering == StrongOrdering(tuple(range(n)), ())
+    assert verify_strong_ordering(G, result.ordering)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -928,9 +924,10 @@ def test_incremental_matches_rescan_at_n1000(make):
 
 def test_pruning_steps_on_dense_p4_sparse_negatives():
     """Dense P4-sparse graphs are mostly not distance-hereditary, and
-    their twins come late in the ascending order: the twin index advances
-    its frontier far and re-files many stale vertices before the pruning
-    gets stuck, and every step up to there must be the rescan's."""
+    their twins come late in the ascending order: the twin index files
+    far up its queue and re-files many vertices whose neighborhoods
+    changed before the pruning gets stuck, and every step up to there
+    must be the rescan's."""
     twin_steps = 0
     for seed in range(1, 9):
         G = gen_p4_sparse(200, seed)
@@ -939,6 +936,20 @@ def test_pruning_steps_on_dense_p4_sparse_negatives():
         assert len(steps) < G.n - 1
         twin_steps += sum(step.kind != "pendant" for step in steps)
     assert twin_steps >= 50
+
+
+def test_pruning_files_only_as_far_as_the_first_twin():
+    """A cycle on 1..999 plus vertex 0 joined to vertex 1's two
+    neighbors: the first twin is 1 with 0, and finding it files only
+    vertices 0 and 1, under one closed and one open key each, where an
+    index of every vertex would file 2,000 entries."""
+    n = 1000
+    edges = [(v, v % (n - 1) + 1) for v in range(1, n)] + [(0, 2), (0, n - 1)]
+    state = _Pruning(Graph(list(map(str, range(n))), edges))
+    assert state.next_step() == PruneStep(1, "false_twin", 0)
+    filed = [m.bit_count() for m in (*state.closed.values(),
+                                     *state.open.values())]
+    assert sum(filed) <= 4
 
 
 def _simple_chain(masks, alive, v):
