@@ -5,7 +5,8 @@ across runs for the same input and flags; timing is therefore opt-in.
 The argument parser is built on the first ``main`` call and reused for
 the rest of the process; each call still parses into a fresh namespace.
 Exit codes: 0 success, 2 input/parse problems, 3 connectivity or size
-preconditions, 4 forced-method mismatch, 5 hard size limits.
+preconditions, 4 forced-method mismatch, 5 hard size limits, 6 resources
+exhausted (``MemoryError`` or ``RecursionError``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 EXIT_LIMIT = 5
+EXIT_RESOURCES = 6
 
 ORACLE_LIMIT_ENV = "MEGSOLVE_ORACLE_LIMIT"
 
@@ -295,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # Exception -> exit code, most specific first; the first match wins.
 # EdgeListParseError (also raised for bytes that are not UTF-8) and
 # SelfLoopError are ValueErrors, so they exit 2; so does an unreadable path
-# (any OSError).
+# (any OSError). Running out of memory or stack exits 6, with the error's
+# name when it carries no message (a bare MemoryError).
 EXIT_CODES = (
     (NotConnectedError, EXIT_PRECONDITION),
     (MethodMismatchError, EXIT_MISMATCH),
@@ -303,6 +306,8 @@ EXIT_CODES = (
     (ValueError, EXIT_INPUT),
     (GenerationError, EXIT_INPUT),
     (OSError, EXIT_INPUT),
+    (MemoryError, EXIT_RESOURCES),
+    (RecursionError, EXIT_RESOURCES),
 )
 
 
@@ -312,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except tuple(exc_type for exc_type, _ in EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for exc_type, code in EXIT_CODES
                     if isinstance(exc, exc_type))
 

@@ -626,6 +626,20 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, exc, code):
     assert out == "" and err == f"error: {exc}\n"
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "MemoryError"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "maximum recursion depth exceeded"),
+])
+def test_resource_exhaustion_exits_6(tmp_path, capsys, monkeypatch, exc, message):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve", fail)
+    got, out, err = run(capsys, "meg", write(tmp_path, "c4.edges", C4))
+    assert (got, out, err) == (6, "", f"error: {message}\n")
+
+
 def test_unmapped_exceptions_propagate(tmp_path, capsys, monkeypatch):
     def fail(path):
         raise RuntimeError("bug")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -377,6 +378,33 @@ def test_non_spiders_rejected():
     assert detect_spider(cycle_graph(6)) is None
     assert detect_spider(complete_graph(5)) is None
     assert detect_spider(star_graph(4)) is None
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_spider_fallback_tests_every_split_once(monkeypatch, n):
+    """On a non-spider, the fallback hands ``verify_spider_partition``
+    every partition (S, C, R) of the vertices with |S| = |C| >= 2, each
+    once, and nothing else."""
+    verify = recognizers.verify_spider_partition
+    expected = sum(math.comb(n, l) * math.comb(n - l, l)
+                   for l in range(2, n // 2 + 1))
+    graphs = [cycle_graph(n)] + ([path_graph(n)] if n >= 5 else [])
+    for G in graphs:
+        seen = []
+
+        def record(G, S, C, R):
+            seen.append((tuple(S), tuple(C), tuple(R)))
+            return verify(G, S, C, R)
+
+        monkeypatch.setattr(recognizers, "verify_spider_partition", record)
+        assert detect_spider(G) is None
+        for S, C, R in seen:
+            assert sorted(S + C + R) == list(range(n))
+            assert len(S) == len(C) >= 2
+        assert len({(frozenset(S), frozenset(C)) for S, C, _ in seen}) \
+            == len(seen) == expected
+    if n == 9:
+        assert expected == 3066
 
 
 def test_verify_spider_partition_axioms():
